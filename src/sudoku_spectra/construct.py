@@ -23,6 +23,7 @@ flagged ``SeedRequired``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -87,7 +88,6 @@ def triangle_product(l: LatinSquare, fam: SquareFamily) -> LatinSquare:
         for i2 in range(n):
             k = int(l.cells[i1, i2])
             out[i1 * m : (i1 + 1) * m, i2 * m : (i2 + 1) * m] = fam.members[i1][k].cells + k * m
-    # constructor re-checks the latin property
     return LatinSquare(out)
 
 
@@ -106,9 +106,10 @@ def sudoku_reorder(s: LatinSquare, n: int, m: int) -> SudokuSquare:
     if s.order != n * m:
         raise MalformedInputError(f"square order {s.order} is not {n}*{m}")
     perm = reorder_permutation(n, m)
-    return SudokuSquare(LatinSquare(s.cells[perm]), BoxType(n, m))
+    return SudokuSquare(s.cells[perm], BoxType(n, m))
 
 
+@cache
 def upsilon(n: int) -> frozenset[int]:
     """{0..n^2-6} + {n^2-4, n^2}: every value except the impossible
     near-full ones n^2-1, n^2-2, n^2-3, n^2-5.  Defined for n >= 3."""
@@ -117,6 +118,7 @@ def upsilon(n: int) -> frozenset[int]:
     return frozenset(range(n * n - 5)) | {n * n - 4, n * n}
 
 
+@cache
 def latin_spectrum(n: int) -> frozenset[int]:
     """Achievable |L ∩ L'| over pairs of order-n latin squares."""
     if n < 1:
@@ -132,6 +134,7 @@ def latin_spectrum(n: int) -> frozenset[int]:
     return upsilon(n)
 
 
+@cache
 def sudoku_spectrum(h: int, w: int) -> frozenset[int]:
     """Achievable |A ∩ B| over pairs of Sudoku squares of box type (h, w)."""
     if h < 2 or w < 2:

@@ -7,6 +7,7 @@ h-row by w-column boxes each contain every symbol once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -83,21 +84,6 @@ def _first_duplicate(line: np.ndarray) -> int | None:
     return None
 
 
-def validate_latin(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> ValidationReport:
-    """Check the latin property; malformed input raises instead of reporting."""
-    grid = as_grid(rows)
-    n = grid.shape[0]
-    for i in range(n):
-        dup = _first_duplicate(grid[i])
-        if dup is not None:
-            return ValidationReport(False, Violation("row", (i,), dup))
-    for j in range(n):
-        dup = _first_duplicate(grid[:, j])
-        if dup is not None:
-            return ValidationReport(False, Violation("column", (j,), dup))
-    return ValidationReport(True)
-
-
 @dataclass(frozen=True)
 class BoxType:
     """Box shape (h, w): boxes are h rows by w columns, order n = h*w."""
@@ -124,25 +110,81 @@ class BoxType:
         return ((p, q) for p in range(self.w) for q in range(self.h))
 
 
-def validate_sudoku(
-    rows: Union[np.ndarray, Sequence[Sequence[int]]], box_type: BoxType
-) -> ValidationReport:
-    """Check latin plus box constraints for the given box type."""
+def _box_lines(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
+    """The boxes of an order-n grid as the rows of an (n, n) array, box
+    (p, q) at row p*h + q, the order of ``BoxType.boxes``."""
+    h, w = box_type.h, box_type.w
+    return grid.reshape(w, h, h, w).transpose(0, 2, 1, 3).reshape(h * w, h * w)
+
+
+@lru_cache(maxsize=64)
+def _line_keys(n: int, box_type: BoxType | None, rows_and_columns: bool):
+    """Flat cell positions of the lines to check (rows, columns, then
+    boxes, stacked as a (k, n) array) and each position's line offset k*n."""
+    cells = np.arange(n * n).reshape(n, n)
+    lines = [cells, cells.T] if rows_and_columns else []
+    if box_type is not None:
+        lines.append(_box_lines(cells, box_type))
+    positions = np.concatenate(lines).ravel()
+    offsets = np.repeat(np.arange(0, positions.size, n), n)
+    positions.flags.writeable = offsets.flags.writeable = False
+    return positions, offsets
+
+
+def _lines_are_permutations(
+    grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
+) -> bool:
+    """True iff every checked line holds each symbol 0..n-1 once: a single
+    bincount over (line, symbol) keys must leave no bin empty."""
+    positions, offsets = _line_keys(grid.shape[0], box_type, rows_and_columns)
+    keys = grid.ravel()[positions] + offsets
+    return np.count_nonzero(np.bincount(keys)) == keys.size
+
+
+def _first_violation(
+    grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
+) -> Violation:
+    """The first repeat in row, column, box order.  Runs only after the
+    vectorized check failed, so the reports match the line-by-line scan."""
+    lines = []
+    if rows_and_columns:
+        lines += [("row", (i,), line) for i, line in enumerate(grid)]
+        lines += [("column", (j,), line) for j, line in enumerate(grid.T)]
+    if box_type is not None:
+        boxes = _box_lines(grid, box_type)
+        lines += [("box", pq, line) for pq, line in zip(box_type.boxes(), boxes)]
+    for kind, where, line in lines:
+        dup = _first_duplicate(line)
+        if dup is not None:
+            return Violation(kind, where, dup)
+    raise AssertionError("vectorized check failed but no line repeats a symbol")
+
+
+def validate_latin(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> ValidationReport:
+    """Check the latin property; malformed input raises instead of reporting."""
     grid = as_grid(rows)
+    if _lines_are_permutations(grid, None):
+        return ValidationReport(True)
+    return ValidationReport(False, _first_violation(grid, None))
+
+
+def validate_sudoku(
+    rows: Union[LatinSquare, np.ndarray, Sequence[Sequence[int]]], box_type: BoxType
+) -> ValidationReport:
+    """Check latin plus box constraints for the given box type.
+
+    A LatinSquare was checked when it was built, so only its boxes are
+    checked; the report is the one the full check gives.
+    """
+    known_latin = isinstance(rows, LatinSquare)
+    grid = rows.cells if known_latin else as_grid(rows)
     if grid.shape[0] != box_type.n:
         raise MalformedInputError(
             f"grid order {grid.shape[0]} does not match box type {box_type.h}x{box_type.w}"
         )
-    report = validate_latin(grid)
-    if not report.ok:
-        return report
-    for p, q in box_type.boxes():
-        r0, c0 = box_type.box_origin(p, q)
-        block = grid[r0 : r0 + box_type.h, c0 : c0 + box_type.w].ravel()
-        dup = _first_duplicate(block)
-        if dup is not None:
-            return ValidationReport(False, Violation("box", (p, q), dup))
-    return ValidationReport(True)
+    if _lines_are_permutations(grid, box_type, not known_latin):
+        return ValidationReport(True)
+    return ValidationReport(False, _first_violation(grid, box_type, not known_latin))
 
 
 class LatinSquare:
@@ -155,6 +197,16 @@ class LatinSquare:
         report = validate_latin(grid)
         if not report.ok:
             raise LatinViolationError(report.violation)
+        self._set_cells(grid)
+
+    @classmethod
+    def _from_checked(cls, grid: np.ndarray) -> "LatinSquare":
+        """Wrap an ``as_grid`` array that has just passed a latin check."""
+        square = object.__new__(cls)
+        square._set_cells(grid)
+        return square
+
+    def _set_cells(self, grid: np.ndarray) -> None:
         object.__setattr__(self, "cells", grid)
         object.__setattr__(self, "_hash", hash((grid.shape[0], grid.tobytes())))
 
@@ -187,16 +239,24 @@ class LatinSquare:
 
 
 class SudokuSquare:
-    """A latin square paired with a box type it satisfies."""
+    """A latin square paired with a box type it satisfies.
+
+    Any grid is checked once: a LatinSquare for its boxes only, anything
+    else for rows, columns and boxes in one pass.
+    """
 
     __slots__ = ("square", "box_type")
 
     def __init__(self, square: Union[LatinSquare, np.ndarray, Sequence], box_type: BoxType):
         if not isinstance(square, LatinSquare):
-            square = LatinSquare(square)
-        report = validate_sudoku(square.cells, box_type)
+            square = as_grid(square)
+        report = validate_sudoku(square, box_type)
         if not report.ok:
-            raise BoxViolationError(report.violation)
+            if report.violation.kind == "box":
+                raise BoxViolationError(report.violation)
+            raise LatinViolationError(report.violation)
+        if not isinstance(square, LatinSquare):
+            square = LatinSquare._from_checked(square)
         object.__setattr__(self, "square", square)
         object.__setattr__(self, "box_type", box_type)
 
@@ -215,7 +275,7 @@ class SudokuSquare:
         return self.square.rows()
 
     def transposed(self) -> "SudokuSquare":
-        return SudokuSquare(LatinSquare(self.cells.T), self.box_type.transposed())
+        return SudokuSquare(self.cells.T, self.box_type.transposed())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SudokuSquare):

@@ -110,10 +110,6 @@ def parse(text: str, box_type: BoxType, style: str) -> SudokuSquare:
     raise ValueError(f"unknown style {style!r}, expected one of {STYLES}")
 
 
-def _rows_of(square: SudokuSquare) -> list[list[int]]:
-    return [list(map(int, row)) for row in square.cells.tolist()]
-
-
 def serialize(square: SudokuSquare, style: str = "single_line") -> str:
     n = square.order
     if style == "single_line":
@@ -126,7 +122,7 @@ def serialize(square: SudokuSquare, style: str = "single_line") -> str:
             " ".join(str(v).rjust(width) for v in row) for row in square.cells.tolist()
         )
     if style == "json":
-        payload = {"h": square.box_type.h, "w": square.box_type.w, "rows": _rows_of(square)}
+        payload = {"h": square.box_type.h, "w": square.box_type.w, "rows": square.cells.tolist()}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     raise ValueError(f"unknown style {style!r}, expected one of {STYLES}")
 

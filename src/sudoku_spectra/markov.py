@@ -257,7 +257,7 @@ def drift_near(square: SudokuSquare, rng=None, *, steps: int = 5,
     for _ in range(steps):
         for _ in range(attempts):
             proposal = resolve_proper(jm_step(state, rng), rng)
-            if validate_sudoku(proposal.grid().cells, box).ok:
+            if validate_sudoku(proposal.grid(), box).ok:
                 state = proposal
                 break
     return SudokuSquare(state.grid(), box)

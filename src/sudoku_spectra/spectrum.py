@@ -49,7 +49,7 @@ from .core import (
     cyclic_square,
     intersection_size,
 )
-from .formats import canonical_json
+from .formats import ParseError, canonical_json
 from .markov import ensure_rng, random_latin_square
 from .seeds import DATABASE, SeedDatabase
 
@@ -105,7 +105,8 @@ class PairCache:
 
     With a path, the cache round-trips through a canonical JSON file;
     entries failing validation on load are dropped silently (the cache is
-    advisory, searches recompute what it cannot supply).
+    advisory, searches recompute what it cannot supply).  A file that is
+    not a JSON object raises ParseError (kind "cache") and is left as is.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -116,12 +117,21 @@ class PairCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path) as f:
-            raw = json.load(f)
-        for key, (rows_a, rows_b) in raw.items():
+        with open(self.path, "rb") as f:
+            text = f.read()
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ParseError("cache", f"cache file {self.path} is not JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ParseError(
+                "cache", f'cache file {self.path} must hold a JSON object of "w:s" pair entries'
+            )
+        for key, value in raw.items():
             try:
                 w_str, s_str = key.split(":")
                 w, s = int(w_str), int(s_str)
+                rows_a, rows_b = value
                 a, b = LatinSquare(rows_a), LatinSquare(rows_b)
                 if a.order == w and intersection_size(a, b) == s:
                     self._mem[(w, s)] = (a, b)
@@ -130,8 +140,7 @@ class PairCache:
 
     def _save(self) -> None:
         payload = {
-            f"{w}:{s}": [[list(map(int, row)) for row in a.cells.tolist()],
-                          [list(map(int, row)) for row in b.cells.tolist()]]
+            f"{w}:{s}": [a.cells.tolist(), b.cells.tolist()]
             for (w, s), (a, b) in sorted(self._mem.items())
         }
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".", suffix=".tmp")
@@ -324,8 +333,8 @@ class RealizationCertificate:
                 "w": self.a.box_type.w,
                 "target": self.target,
                 "method": self.method,
-                "a": [list(map(int, r)) for r in self.a.cells.tolist()],
-                "b": [list(map(int, r)) for r in self.b.cells.tolist()],
+                "a": self.a.cells.tolist(),
+                "b": self.b.cells.tolist(),
             }
         )
 

@@ -59,6 +59,17 @@ def test_realize_cache_file_round_trip(tmp_path, capsys):
     assert json.loads(cache_path.read_text()) == first
 
 
+@pytest.mark.parametrize("text", ["[]", '{"4:16": 5}x'])
+def test_realize_with_unreadable_cache_exits_1(tmp_path, capsys, text):
+    cache_path = tmp_path / "cache.json"
+    cache_path.write_text(text)
+    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "5", "--t", "73",
+                       "--cache", str(cache_path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: cache file")
+    assert cache_path.read_text() == text
+
+
 def test_realize_impossible_value_exits_2(capsys):
     rc, out, err = run(capsys, "realize", "--h", "2", "--w", "2", "--t", "5")
     assert rc == 2

@@ -178,6 +178,9 @@ def test_spectrum_values():
     assert sudoku_spectrum(2, 2) == latin_spectrum(4)
     assert sudoku_spectrum(2, 3) == upsilon(6)
     assert sudoku_spectrum(3, 3) == upsilon(9)
+    # memoized: repeated calls share one immutable frozenset
+    assert latin_spectrum(7) is latin_spectrum(7) is upsilon(7)
+    assert sudoku_spectrum(3, 4) is sudoku_spectrum(3, 4)
     with pytest.raises(ValueError):
         upsilon(2)
     with pytest.raises(ValueError):

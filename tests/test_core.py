@@ -217,3 +217,35 @@ def test_validation_error_carries_violation():
         assert "row" in str(exc)
     else:  # pragma: no cover
         pytest.fail("expected ValidationError")
+
+
+def test_each_built_square_is_checked_once(monkeypatch):
+    from sudoku_spectra import core
+    from sudoku_spectra.construct import SquareFamily, sudoku_reorder, triangle_product
+    from sudoku_spectra.spectrum import RealizationCertificate
+
+    checks = []
+    for name in ("validate_latin", "validate_sudoku"):
+        def counted(*args, _check=getattr(core, name), _name=name):
+            checks.append(_name)
+            return _check(*args)
+
+        monkeypatch.setattr(core, name, counted)
+
+    def checks_made_by(build):
+        checks.clear()
+        result = build()
+        return result, list(checks)
+
+    bt = BoxType(2, 3)
+    outer, family = cyclic_square(2), SquareFamily.constant(2, cyclic_square(3))
+    product, made = checks_made_by(lambda: triangle_product(outer, family))
+    assert made == ["validate_latin"]
+    s, made = checks_made_by(lambda: sudoku_reorder(product, 2, 3))
+    assert made == ["validate_sudoku"]
+    assert checks_made_by(lambda: SudokuSquare(s.cells.tolist(), bt))[1] == ["validate_sudoku"]
+    assert checks_made_by(lambda: SudokuSquare(s.square, bt))[1] == ["validate_sudoku"]
+    assert checks_made_by(s.transposed)[1] == ["validate_sudoku"]
+    text = RealizationCertificate(s, s, 36, "product").to_json()
+    made = checks_made_by(lambda: RealizationCertificate.from_json(text))[1]
+    assert made == ["validate_sudoku"] * 2

@@ -7,6 +7,7 @@ import pytest
 
 from sudoku_spectra.construct import latin_spectrum, sudoku_spectrum
 from sudoku_spectra.core import BoxType, intersection_size
+from sudoku_spectra.formats import ParseError, canonical_json
 from sudoku_spectra.spectrum import (
     CertificateError,
     PairCache,
@@ -76,12 +77,25 @@ def test_pair_cache_drops_bad_entries(tmp_path):
         "2:4": [good_a, good_b],  # label lies: intersection is 0
         "nonsense": [good_a, good_b],
         "3:0": [[[0, 0], [0, 0]], good_b],  # not latin
+        "4:16": 5,  # not a pair
+        "4:0": [good_a, good_b, good_a],  # three squares
+        "5:0": "ab",  # strings, not grids
     }
     path.write_text(json.dumps(payload))
     cache = PairCache(path)
     assert len(cache) == 1
     assert cache.get(2, 0) is not None
     assert cache.get(2, 4) is None
+
+
+@pytest.mark.parametrize("data", [b"[1, 2]", b'"pairs"', b"{not json", b"\xff\x00\xfe", b""])
+def test_pair_cache_rejects_a_file_that_is_not_a_json_object(tmp_path, data):
+    path = tmp_path / "pairs.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        PairCache(path)
+    assert exc.value.kind == "cache"
+    assert path.read_bytes() == data  # left for the user to inspect
 
 
 def test_seed_types_realize_from_fixtures():
@@ -155,6 +169,19 @@ def test_certificate_json_round_trip():
     assert np.array_equal(back.b.cells, cert.b.cells)
     # canonical form is stable
     assert back.to_json() == text
+
+
+def test_certificate_json_matches_the_nested_int_list_form():
+    cert = realize_sudoku_pair(3, 4, 100, np.random.default_rng(7), cache=PairCache())
+    nested = {
+        "h": 3,
+        "w": 4,
+        "target": 100,
+        "method": cert.method,
+        "a": [list(map(int, row)) for row in cert.a.cells.tolist()],
+        "b": [list(map(int, row)) for row in cert.b.cells.tolist()],
+    }
+    assert cert.to_json() == canonical_json(nested)
 
 
 def test_certificate_rejects_tampering():
