@@ -37,7 +37,7 @@ def main():
     check = sudoku_spectrum(2, 2) == report.values
     print("agrees with the closed form:", check)
     print()
-    print("the (2, 3) run visits 28.2M squares and takes about half a minute;")
+    print("the (2, 3) run visits 28.2M squares and takes about 13 s on two cores;")
     print("run brute_force_spectrum(2, 3) directly or use the CLI spectrum command")
 
 

@@ -26,7 +26,7 @@ from .formats import STYLES, parse, serialize
 from .markov import drift_near, sample_sudoku
 from .pentadoku import classify_all, write_census
 from .seeds import DATABASE, verify_seed_database
-from .spectrum import PairCache, RealizationCertificate, SpectrumError, realize_sudoku_pair
+from .spectrum import DEFAULT_MAX_ORDER, PairCache, SpectrumError, realize_sudoku_pair
 
 
 def _box_args(p: argparse.ArgumentParser) -> None:
@@ -146,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--seed", type=int, default=None, help="RNG seed for the search")
     p.add_argument("--cache", help="JSON memo cache file for latin pair searches")
-    p.add_argument("--max-order", type=int, default=144, help="largest supported order h*w")
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                   help="largest supported order h*w")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify", help="check two squares and print their intersection")

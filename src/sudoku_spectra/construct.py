@@ -33,10 +33,7 @@ from .core import BoxType, LatinSquare, MalformedInputError, SudokuSquare
 
 def kronecker(l: LatinSquare, m: LatinSquare) -> LatinSquare:
     """Kronecker-style product of latin squares, order l.order * m.order."""
-    n_, m_ = l.order, m.order
-    ones = np.ones((m_, m_), dtype=np.int64)
-    out = np.kron(l.cells * m_, ones) + np.tile(m.cells, (n_, n_))
-    return LatinSquare(out)
+    return triangle_product(l, SquareFamily.constant(l.order, m))
 
 
 class SquareFamily:

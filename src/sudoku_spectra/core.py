@@ -109,6 +109,11 @@ class BoxType:
     def boxes(self) -> Iterable[tuple[int, int]]:
         return ((p, q) for p in range(self.w) for q in range(self.h))
 
+    def cell_boxes(self) -> list[int]:
+        """Box number p*h + q of each cell, row-major: the ``boxes`` order."""
+        n = self.n
+        return [(r // self.h) * self.h + c // self.w for r in range(n) for c in range(n)]
+
 
 def _box_lines(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
     """The boxes of an order-n grid as the rows of an (n, n) array, box

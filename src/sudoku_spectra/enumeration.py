@@ -1,22 +1,27 @@
 """Exhaustive enumeration of small latin and Sudoku squares, and
-brute-force computation of their intersection spectra.
+brute-force computation of their intersection spectra.  The package's
+one fixed-order enumerator and one agreement-count kernel live here; the
+Pentadoku census uses both, with cages in place of boxes.
 
-The spectrum computation factors the full pairwise comparison.  Squares
-are enumerated up to symbol relabelling (first row 0..n-1); every square
-is some relabelling pi of a canonical square C, and
+Squares are enumerated up to symbol relabelling (first row 0..n-1); every
+square is some relabelling pi of a canonical square C, and
 |A ∩ (pi of C)| = sum over symbols t of m[t, pi(t)] where m counts cells
-of A holding pi(t) at positions where C holds t.  Intersection sizes are
-invariant when both squares get the same row permutation, column
-permutation, or transpose, and validity-preserving choices of those map
-the enumerated family onto itself, so the left square A only needs to
-range over orbit representatives of that action.  Each reduction step is
-cross-checked against the slower mode in the test suite.
+of A holding pi(t) at positions where C holds t.  The kernel takes all
+of these as one product of the (N, n*n) counts with an (n*n, n!) 0/1
+selector.  Intersection sizes are invariant when both squares get the
+same row permutation, column permutation, or transpose, and
+validity-preserving choices of those map the enumerated family onto
+itself, so the left square A only needs to range over orbit
+representatives of that action.  Each reduction step is cross-checked
+against the all-pairs mode (``reduction="none"``) in the test suite.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Container
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -28,23 +33,19 @@ MAX_SUDOKU_ORDER = 6
 REDUCTIONS = ("orbit", "symbol", "none")
 
 
-def _box_index(box_type: BoxType) -> list[int]:
-    n = box_type.n
-    return [(r // box_type.h) * box_type.h + (c // box_type.w) for r in range(n) for c in range(n)]
-
-
-def enumerate_squares(n: int, box_type: BoxType | None, first_row_fixed: bool = True) -> np.ndarray:
-    """All order-n (Sudoku) latin squares as an (N, n*n) uint8 array.
-
-    With ``first_row_fixed`` only squares whose first row reads 0..n-1 are
-    produced, one per symbol-relabelling class.
-    """
+def _fill_squares(n: int, group_of: list[int] | None, first_row_fixed: bool) -> list[list[int]]:
+    """Every order-n latin square, as a row-major list, in which each group
+    of cells (``group_of[pos]`` in 0..n-1, or None for no groups) also
+    holds every symbol.  With ``first_row_fixed`` the first row reads
+    0..n-1."""
+    if group_of is None:
+        # the rows again: a redundant constraint, so the loop has one shape
+        group_of = [pos // n for pos in range(n * n)]
     full = (1 << n) - 1
-    box_of = _box_index(box_type) if box_type is not None else None
     grid = [0] * (n * n)
     row_mask = [0] * n
     col_mask = [0] * n
-    box_mask = [0] * n
+    group_mask = [0] * n
     out: list[list[int]] = []
 
     start = 0
@@ -53,8 +54,7 @@ def enumerate_squares(n: int, box_type: BoxType | None, first_row_fixed: bool = 
             grid[c] = c
             row_mask[0] |= 1 << c
             col_mask[c] |= 1 << c
-            if box_of is not None:
-                box_mask[box_of[c]] |= 1 << c
+            group_mask[group_of[c]] |= 1 << c
         start = n
 
     def fill(pos: int):
@@ -62,25 +62,32 @@ def enumerate_squares(n: int, box_type: BoxType | None, first_row_fixed: bool = 
             out.append(grid.copy())
             return
         r, c = divmod(pos, n)
-        avail = full & ~row_mask[r] & ~col_mask[c]
-        if box_of is not None:
-            avail &= ~box_mask[box_of[pos]]
+        g = group_of[pos]
+        avail = full & ~row_mask[r] & ~col_mask[c] & ~group_mask[g]
         while avail:
             bit = avail & -avail
             avail ^= bit
-            s = bit.bit_length() - 1
-            grid[pos] = s
+            grid[pos] = bit.bit_length() - 1
             row_mask[r] |= bit
             col_mask[c] |= bit
-            if box_of is not None:
-                box_mask[box_of[pos]] |= bit
+            group_mask[g] |= bit
             fill(pos + 1)
             row_mask[r] ^= bit
             col_mask[c] ^= bit
-            if box_of is not None:
-                box_mask[box_of[pos]] ^= bit
+            group_mask[g] ^= bit
 
     fill(start)
+    return out
+
+
+def enumerate_squares(n: int, box_type: BoxType | None, first_row_fixed: bool = True) -> np.ndarray:
+    """All order-n (Sudoku) latin squares as an (N, n*n) uint8 array.
+
+    With ``first_row_fixed`` only squares whose first row reads 0..n-1 are
+    produced, one per symbol-relabelling class.
+    """
+    box_of = box_type.cell_boxes() if box_type is not None else None
+    out = _fill_squares(n, box_of, first_row_fixed)
     return np.array(out, dtype=np.uint8).reshape(len(out), n * n)
 
 
@@ -144,33 +151,32 @@ def orbit_representatives(canon: np.ndarray, n: int, group: np.ndarray) -> list[
     return reps
 
 
-def _all_symbol_perms(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+@cache
+def _symbol_selector(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n! symbol permutations as an (n!, n) array, and the (n*n, n!)
+    0/1 matrix whose column p has a 1 at row t*n + perms[p][t]."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    selector = np.zeros((n * n, len(perms)), dtype=np.float32)
+    selector[np.arange(n) * n + perms, np.arange(len(perms))[:, None]] = 1.0
+    return perms, selector
 
 
-def _sweep_one(rep: np.ndarray, canon: np.ndarray, n: int, perms: np.ndarray,
-               chunk: int = 64) -> dict[int, tuple[int, int]]:
+def _sweep_one(rep: np.ndarray, canon: np.ndarray, n: int,
+               known: Container[int]) -> dict[int, tuple[int, int]]:
     """Intersection values of one fixed square against every relabelling
     of every canonical square.  Returns value -> (canonical index, perm
-    index) for one witness per value."""
+    index of ``_symbol_selector(n)``) for the first witness of each value
+    not in ``known``."""
+    perms, selector = _symbol_selector(n)
     big = len(canon)
     key = (np.arange(big, dtype=np.int64)[:, None] * n + canon.astype(np.int64)) * n + rep.astype(np.int64)[None, :]
-    m = np.bincount(key.ravel(), minlength=big * n * n).reshape(big, n, n).astype(np.float32)
+    m = np.bincount(key.ravel(), minlength=big * n * n).reshape(big, n * n).astype(np.float32)
+    # float32 sums of at most n*n ones are exact
+    vals = (m @ selector).astype(np.uint8).ravel()
     found: dict[int, tuple[int, int]] = {}
-    nperm = len(perms)
-    for lo in range(0, nperm, chunk):
-        hi = min(lo + chunk, nperm)
-        block = perms[lo:hi]
-        vals = np.zeros((big, hi - lo), dtype=np.float32)
-        for t in range(n):
-            sel = np.zeros((n, hi - lo), dtype=np.float32)
-            sel[block[:, t], np.arange(hi - lo)] = 1.0
-            vals += m[:, t, :] @ sel
-        ivals = vals.astype(np.int32)
-        for v in np.unique(ivals).tolist():
-            if v not in found:
-                k, p = np.argwhere(ivals == v)[0]
-                found[v] = (int(k), int(p) + lo)
+    for v in np.flatnonzero(np.bincount(vals)).tolist():
+        if v not in known:
+            found[v] = divmod(int(np.argmax(vals == v)), len(perms))
     return found
 
 
@@ -195,19 +201,15 @@ def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: in
     canon = enumerate_squares(n, box_type, first_row_fixed=True)
     if len(canon) == 0:
         raise RuntimeError(f"no squares of order {n} found, enumeration is broken")
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    total = len(canon) * fact
+    perms, _ = _symbol_selector(n)
+    total = len(canon) * len(perms)
 
     def to_rows(flat: np.ndarray) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(v) for v in row) for row in flat.reshape(n, n))
 
     if reduction == "none":
         # expand every square and compare all ordered pairs
-        perms = _all_symbol_perms(n).astype(np.uint8)
-        all_sq = perms[:, canon].reshape(len(perms) * len(canon), n * n)
-        assert len(all_sq) == total
+        all_sq = perms.astype(np.uint8)[:, canon].reshape(total, n * n)
         values: set[int] = set()
         witnesses = {}
         for i in range(len(all_sq)):
@@ -228,25 +230,22 @@ def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: in
         reps = orbit_representatives(canon, n, group)
         orbit_count = len(reps)
 
-    perms = _all_symbol_perms(n)
+    # Results are merged in representative order, so a worker that skips a
+    # value already in ``witnesses`` skips it only for an earlier
+    # representative's witness, and any ``jobs`` gives the same report.
+    witnesses = {}
 
     def work(rep_idx: int) -> dict[int, tuple[int, int]]:
-        return _sweep_one(canon[rep_idx], canon, n, perms)
+        return _sweep_one(canon[rep_idx], canon, n, witnesses)
 
-    values = set()
-    witnesses = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, reps))
-    else:
-        results = [work(r) for r in reps]
-    for rep_idx, found in zip(reps, results):
-        for v, (k, p) in found.items():
-            if v not in witnesses:
-                values.add(v)
-                b_flat = perms[p][canon[k]].astype(np.uint8)
-                witnesses[v] = (to_rows(canon[rep_idx]), to_rows(b_flat))
-    return SpectrumReport(n, box_type, len(canon), total, frozenset(values),
+    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
+        results = pool.map(work, reps) if jobs > 1 else map(work, reps)
+        for rep_idx, found in zip(reps, results):
+            for v, (k, p) in found.items():
+                if v not in witnesses:
+                    b_flat = perms[p][canon[k]].astype(np.uint8)
+                    witnesses[v] = (to_rows(canon[rep_idx]), to_rows(b_flat))
+    return SpectrumReport(n, box_type, len(canon), total, frozenset(witnesses),
                           witnesses if want_witnesses else {}, reduction, orbit_count)
 
 

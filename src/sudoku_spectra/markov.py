@@ -133,7 +133,7 @@ def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 100, restarts: int 
     """A random Sudoku square of box type (h, w), deterministic in rng."""
     box = BoxType(h, w)
     n = box.n
-    box_of = [(r // h) * h + (c // w) for r in range(n) for c in range(n)]
+    box_of = box.cell_boxes()
     rng = ensure_rng(rng)
     for _ in range(restarts):
         grid = _sample_grid(n, box_of, rng, effort)

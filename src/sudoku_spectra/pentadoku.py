@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LatinSquare
+from .enumeration import _fill_squares, _sweep_one
 
 SIZE = 5
 
@@ -235,40 +235,11 @@ def solve_cage_latin(tiling: Tiling, up_to_relabelling: bool = True) -> tuple[La
     giving exactly one solution per relabelling class (the symbol group
     acts freely); multiply counts by 120 for raw solutions.
     """
-    n = SIZE
-    cage_flat = [tiling.grid[r][c] for r in range(n) for c in range(n)]
-    full = (1 << n) - 1
-    row_masks = [0] * n
-    col_masks = [0] * n
-    cage_masks = [0] * n
-    grid = [0] * (n * n)
-    out: list[LatinSquare] = []
-
-    def go(pos: int):
-        if pos == n * n:
-            out.append(LatinSquare(np.array(grid, dtype=np.int64).reshape(n, n)))
-            return
-        r, c = divmod(pos, n)
-        avail = full & ~row_masks[r] & ~col_masks[c] & ~cage_masks[cage_flat[pos]]
-        if up_to_relabelling and r == 0:
-            avail &= 1 << c
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            grid[pos] = bit.bit_length() - 1
-            row_masks[r] |= bit
-            col_masks[c] |= bit
-            cage_masks[cage_flat[pos]] |= bit
-            go(pos + 1)
-            row_masks[r] ^= bit
-            col_masks[c] ^= bit
-            cage_masks[cage_flat[pos]] ^= bit
-
-    go(0)
-    return tuple(out)
-
-
-_S5 = np.array(list(itertools.permutations(range(SIZE))), dtype=np.uint8)
+    cage_of = [v for row in tiling.grid for v in row]
+    return tuple(
+        LatinSquare(np.array(grid, dtype=np.int64).reshape(SIZE, SIZE))
+        for grid in _fill_squares(SIZE, cage_of, up_to_relabelling)
+    )
 
 
 def tiling_spectrum(tiling: Tiling, solutions: tuple[LatinSquare, ...] | None = None) -> frozenset[int]:
@@ -280,15 +251,11 @@ def tiling_spectrum(tiling: Tiling, solutions: tuple[LatinSquare, ...] | None = 
     """
     if solutions is None:
         solutions = solve_cage_latin(tiling)
-    if not solutions:
-        return frozenset()
     canon = np.array([sol.cells.ravel() for sol in solutions], dtype=np.uint8)
-    relabelled = _S5[:, canon].reshape(len(_S5) * len(canon), SIZE * SIZE)
-    values: set[int] = set()
+    values: dict[int, tuple[int, int]] = {}
     for a in canon:
-        agree = (relabelled == a).sum(axis=1)
-        values.update(np.unique(agree).tolist())
-    return frozenset(int(v) for v in values)
+        values.update(_sweep_one(a, canon, SIZE, values))
+    return frozenset(values)
 
 
 FULL_SPECTRUM = frozenset(range(SIZE * SIZE - 5)) | {SIZE * SIZE - 4, SIZE * SIZE}

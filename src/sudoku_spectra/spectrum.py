@@ -308,6 +308,16 @@ def realize_latin_pair(
     )
 
 
+_CERTIFICATE_FIELDS = {
+    "h": (int, "an integer"),
+    "w": (int, "an integer"),
+    "target": (int, "an integer"),
+    "method": (str, "a string"),
+    "a": (list, "an array of rows"),
+    "b": (list, "an array of rows"),
+}
+
+
 @dataclass(frozen=True)
 class RealizationCertificate:
     """A realized pair plus how it was obtained.  ``verify`` recomputes
@@ -340,13 +350,23 @@ class RealizationCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "RealizationCertificate":
-        obj = json.loads(text)
-        box = BoxType(int(obj["h"]), int(obj["w"]))
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ParseError("certificate", f"certificate is not JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ParseError("certificate", "certificate must be a JSON object")
+        for key, (kind, name) in _CERTIFICATE_FIELDS.items():
+            value = obj.get(key)
+            # bool is an int subclass, but JSON true/false is not a number
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ParseError("certificate", f"certificate field {key!r} must be {name}")
+        box = BoxType(obj["h"], obj["w"])
         cert = cls(
             SudokuSquare(obj["a"], box),
             SudokuSquare(obj["b"], box),
-            int(obj["target"]),
-            str(obj["method"]),
+            obj["target"],
+            obj["method"],
         )
         cert.verify()
         return cert

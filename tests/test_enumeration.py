@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from sudoku_spectra.core import BoxType, validate_latin, validate_sudoku
+from sudoku_spectra.core import (
+    BoxType,
+    LatinSquare,
+    SudokuSquare,
+    intersection_size,
+    validate_latin,
+    validate_sudoku,
+)
 from sudoku_spectra.enumeration import (
     MAX_LATIN_ORDER,
     MAX_SUDOKU_ORDER,
@@ -81,9 +88,10 @@ def test_latin_spectra_small_orders():
 
 
 def test_reduction_modes_agree():
-    # order 3 latin and box (2, 2) are small enough to run all three ways
+    # latin orders 3 and 4 and box (2, 2) are small enough to run all three ways
     for builder in (
         lambda red: brute_force_latin_spectrum(3, reduction=red),
+        lambda red: brute_force_latin_spectrum(4, reduction=red),
         lambda red: brute_force_spectrum(2, 2, reduction=red),
     ):
         orbit = builder("orbit")
@@ -91,6 +99,23 @@ def test_reduction_modes_agree():
         none = builder("none")
         assert orbit.values == symbol.values == none.values
         assert orbit.total_count == symbol.total_count == none.total_count
+
+
+def test_threaded_sweep_matches_sequential():
+    for builder, box_type in (
+        (lambda jobs: brute_force_spectrum(2, 2, jobs=jobs), BoxType(2, 2)),
+        (lambda jobs: brute_force_latin_spectrum(4, jobs=jobs), None),
+    ):
+        one, two = builder(1), builder(2)
+        assert one.values == two.values
+        assert set(two.witnesses) == set(two.values)
+        assert one.witnesses == two.witnesses
+        for v, (a_rows, b_rows) in two.witnesses.items():
+            if box_type is None:
+                a, b = LatinSquare(a_rows), LatinSquare(b_rows)
+            else:
+                a, b = SudokuSquare(a_rows, box_type), SudokuSquare(b_rows, box_type)
+            assert intersection_size(a, b) == v
 
 
 def test_witnesses_round_trip():

@@ -9,6 +9,7 @@ import pytest
 
 from sudoku_spectra.construct import latin_spectrum
 from sudoku_spectra.core import LatinSquare, intersection_size, validate_latin
+from sudoku_spectra.enumeration import enumerate_squares
 from sudoku_spectra.pentadoku import (
     CATEGORIES,
     CENSUS_CONVENTIONS,
@@ -132,6 +133,27 @@ def test_spectrum_matches_naive_all_pairs(census):
         assert tiling_spectrum(tiling) == frozenset(naive)
         checked += 1
     assert checked >= 10
+
+
+def _cage_filtered(squares: np.ndarray, tiling: Tiling) -> np.ndarray:
+    """The rows of an (N, 25) square array whose cages hold all five symbols."""
+    cages = np.argsort(np.asarray(tiling.grid).ravel(), kind="stable").reshape(5, 5)
+    held = np.sort(squares[:, cages], axis=2)
+    return squares[(held == np.arange(5)).all(axis=(1, 2))]
+
+
+def test_cage_solutions_are_the_cage_respecting_latin_squares(census):
+    canonical = enumerate_squares(5, None)
+    raw = enumerate_squares(5, None, first_row_fixed=False)
+    classes = census.value.classes
+    picked = [c.tiling for c in classes if c.category in ("unsolvable", "rigid")]
+    picked += [c.tiling for c in classes if c.category in ("full", "partial")][::16]
+    assert len(picked) >= 10
+    for tiling in picked:
+        for pinned, squares in ((True, canonical), (False, raw)):
+            sols = solve_cage_latin(tiling, up_to_relabelling=pinned)
+            flats = np.array([s.cells.ravel() for s in sols], dtype=np.uint8).reshape(-1, 25)
+            assert np.array_equal(flats, _cage_filtered(squares, tiling)), (tiling.key(), pinned)
 
 
 def test_census_summary(census):

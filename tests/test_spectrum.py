@@ -195,6 +195,26 @@ def test_certificate_rejects_tampering():
         bad.verify()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda obj: "nope",
+    lambda obj: "{}",
+    lambda obj: "[1]",
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "target"}),
+    lambda obj: json.dumps({**obj, "h": "2"}),
+    lambda obj: json.dumps({**obj, "w": 3.0}),
+    lambda obj: json.dumps({**obj, "target": True}),
+    lambda obj: json.dumps({**obj, "method": 7}),
+    lambda obj: json.dumps({**obj, "a": "012345"}),
+    lambda obj: json.dumps({**obj, "b": None}),
+], ids=["not-json", "empty-object", "array", "no-target", "h-string", "w-float",
+        "target-bool", "method-int", "a-string", "b-null"])
+def test_certificate_from_json_tags_malformed_payloads(mutate):
+    obj = json.loads(realize_sudoku_pair(2, 3, 10).to_json())
+    with pytest.raises(ParseError) as exc:
+        RealizationCertificate.from_json(mutate(obj))
+    assert exc.value.kind == "certificate"
+
+
 def test_certificate_catches_box_type_mismatch():
     c23 = realize_sudoku_pair(2, 3, 36)
     c32 = realize_sudoku_pair(3, 2, 36)
