@@ -80,12 +80,11 @@ def triangle_product(l: LatinSquare, fam: SquareFamily) -> LatinSquare:
     if fam.n != l.order:
         raise MalformedInputError(f"family is {fam.n}x{fam.n}, outer square order {l.order}")
     n, m = l.order, fam.m
-    out = np.empty((n * m, n * m), dtype=np.int64)
-    for i1 in range(n):
-        for i2 in range(n):
-            k = int(l.cells[i1, i2])
-            out[i1 * m : (i1 + 1) * m, i2 * m : (i2 + 1) * m] = fam.members[i1][k].cells + k * m
-    return LatinSquare(out)
+    members = np.array([[sq.cells for sq in row] for row in fam.members])  # (n, n, m, m)
+    k = l.cells
+    # block (i1, i2) is member (i1, k) shifted by k*m, with k = l[i1, i2]
+    blocks = members[np.arange(n)[:, None], k] + (k * m)[:, :, None, None]
+    return LatinSquare(blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m))
 
 
 def reorder_permutation(n: int, m: int) -> np.ndarray:

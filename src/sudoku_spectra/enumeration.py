@@ -173,8 +173,10 @@ def _sweep_one(rep: np.ndarray, canon: np.ndarray, n: int,
     m = np.bincount(key.ravel(), minlength=big * n * n).reshape(big, n * n).astype(np.float32)
     # float32 sums of at most n*n ones are exact
     vals = (m @ selector).astype(np.uint8).ravel()
+    present = np.zeros(n * n + 1, dtype=bool)  # not np.bincount: it copies vals to int64
+    present[vals] = True
     found: dict[int, tuple[int, int]] = {}
-    for v in np.flatnonzero(np.bincount(vals)).tolist():
+    for v in np.flatnonzero(present).tolist():
         if v not in known:
             found[v] = divmod(int(np.argmax(vals == v)), len(perms))
     return found

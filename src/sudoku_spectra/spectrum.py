@@ -13,18 +13,22 @@ squares, plus the machinery behind it.
   Sudoku form.  Intersections add across family slots, so the assembled
   pair meets the target exactly; the result is re-verified anyway.
 
-``realize_latin_pair(w, s)`` is a depth-first search for a second square
-at prescribed agreement with a base square, steering candidate order
-toward or away from agreement depending on the remaining quota.  Base
-squares fall back from the cyclic square through random squares to, at
-small orders, every square up to relabelling, so the search is complete
-where enumeration is feasible.  Found pairs go into a memo cache,
-optionally persisted as a JSON file.
+``realize_latin_pair(w, s)`` at a composite order w = a*b is a box type
+(a, b) Sudoku pair, whose spectrum is the order-w latin spectrum, so it
+comes from ``realize_sudoku_pair`` (seeds and the block product) with no
+search.  Only at prime orders does it search depth-first for a second
+square at prescribed agreement with a base square (the cyclic square,
+then random squares), steering candidate order toward or away from
+agreement depending on the remaining quota.  Found pairs go into a memo
+cache, optionally persisted as a JSON file.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -229,8 +233,6 @@ def _search_second(a_flat: list[int], w: int, s: int, budget: int) -> list[int] 
             agreed = new_agreed - agree
         return False
 
-    import sys
-
     limit = sys.getrecursionlimit()
     if total + 100 > limit:
         sys.setrecursionlimit(total + 200)
@@ -240,23 +242,37 @@ def _search_second(a_flat: list[int], w: int, s: int, budget: int) -> list[int] 
         sys.setrecursionlimit(limit)
 
 
-_KLEIN4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+_NODE_BUDGET = 200_000
+_SEARCH_ROUNDS = 5
 
-_ENUM_FALLBACK_MAX_ORDER = 6
+
+def _box_type_for(w: int) -> tuple[int, int]:
+    """(a, w // a) with a the largest divisor of w at most sqrt(w); a == 1
+    exactly when w is 1 or prime."""
+    a = max(d for d in range(1, math.isqrt(w) + 1) if w % d == 0)
+    return a, w // a
 
 
-def _base_squares(w: int, rng, round_no: int):
-    """Base squares to anchor the pair search, roughly cheapest first."""
-    yield cyclic_square(w)
-    if w == 4:
-        yield LatinSquare(_KLEIN4)
-    for _ in range(4 * (round_no + 1)):
-        yield random_latin_square(w, rng)
-    if round_no >= 1 and w <= _ENUM_FALLBACK_MAX_ORDER:
-        from .enumeration import enumerate_squares
-
-        for flat in enumerate_squares(w, None, first_row_fixed=True):
-            yield LatinSquare(flat.reshape(w, w))
+def _search_pair(w: int, s: int, rng) -> tuple[LatinSquare, LatinSquare]:
+    """Search from the cyclic square, then from random squares, with a
+    node budget per base that grows fourfold each round."""
+    for round_no in range(_SEARCH_ROUNDS):
+        budget = _NODE_BUDGET * 4**round_no
+        randoms = (random_latin_square(w, rng) for _ in range(4 * (round_no + 1)))
+        for a in itertools.chain([cyclic_square(w)], randoms):
+            try:
+                found = _search_second(a.cells.ravel().tolist(), w, s, budget)
+            except _BudgetExceeded:
+                continue
+            if found is not None:
+                b = LatinSquare(np.array(found, dtype=np.int64).reshape(w, w))
+                assert intersection_size(a, b) == s
+                return a, b
+    raise RealizationError(
+        f"no pair of order-{w} latin squares meeting in {s} cells found in "
+        f"{_SEARCH_ROUNDS} rounds of search from the cyclic and random base squares, "
+        f"the last at {budget} nodes per base; {s} is achievable at order {w}"
+    )
 
 
 def realize_latin_pair(
@@ -265,7 +281,6 @@ def realize_latin_pair(
     rng=None,
     *,
     cache: PairCache | None = None,
-    node_budget: int = 200_000,
 ) -> tuple[LatinSquare, LatinSquare]:
     """Two order-w latin squares meeting in exactly s cells."""
     if w < 1:
@@ -278,34 +293,17 @@ def realize_latin_pair(
     hit = cache.get(w, s)
     if hit is not None:
         return hit
+    box_h, box_w = _box_type_for(w)
     if s == w * w:
         a = cyclic_square(w)
         pair = (a, a)
-        cache.put(w, s, pair)
-        return pair
-    rng = ensure_rng(rng)
-    budget = node_budget
-    for round_no in range(5):
-        seen: set[LatinSquare] = set()
-        for a in _base_squares(w, rng, round_no):
-            if a in seen:
-                continue
-            seen.add(a)
-            try:
-                found = _search_second(a.cells.ravel().tolist(), w, s, budget)
-            except _BudgetExceeded:
-                continue
-            if found is not None:
-                b = LatinSquare(np.array(found, dtype=np.int64).reshape(w, w))
-                assert intersection_size(a, b) == s
-                pair = (a, b)
-                cache.put(w, s, pair)
-                return pair
-        budget *= 4
-    raise RealizationError(
-        f"no pair of order-{w} squares with intersection {s} found within budget; "
-        f"this value is achievable, so raise node_budget"
-    )
+    elif box_h > 1:  # box_w < w, so this recursion ends
+        cert = realize_sudoku_pair(box_h, box_w, s, ensure_rng(rng), cache=cache, max_order=w)
+        pair = (cert.a.square, cert.b.square)
+    else:
+        pair = _search_pair(w, s, ensure_rng(rng))
+    cache.put(w, s, pair)
+    return pair
 
 
 _CERTIFICATE_FIELDS = {
@@ -372,11 +370,6 @@ class RealizationCertificate:
         return cert
 
 
-def _seed_pair(h: int, w: int, t: int, db: SeedDatabase) -> tuple[SudokuSquare, SudokuSquare]:
-    seed_set = db.get(h, w)
-    return seed_set.pair_for(t)
-
-
 def realize_sudoku_pair(
     h: int,
     w: int,
@@ -400,9 +393,9 @@ def realize_sudoku_pair(
 
     if (h, w) in SEED_ONLY_TYPES or (w, h) in SEED_ONLY_TYPES:
         if (h, w) in SEED_ONLY_TYPES:
-            a, b = _seed_pair(h, w, t, seed_db)
+            a, b = seed_db.get(h, w).pair_for(t)
         else:
-            a, b = _seed_pair(w, h, t, seed_db)
+            a, b = seed_db.get(w, h).pair_for(t)
             a, b = a.transposed(), b.transposed()
         cert = RealizationCertificate(a, b, t, "seed")
         cert.verify()
@@ -413,7 +406,7 @@ def realize_sudoku_pair(
 
     dec = decompose_target(t, hh, ww)
     if isinstance(dec, SeedRequired):
-        a, b = _seed_pair(hh, 4, t, seed_db)
+        a, b = seed_db.get(hh, 4).pair_for(t)
         method = "seed"
     else:
         assert isinstance(dec, Decomposition)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sudoku_spectra import spectrum
 from sudoku_spectra.construct import latin_spectrum, sudoku_spectrum
 from sudoku_spectra.core import BoxType, intersection_size
 from sudoku_spectra.formats import ParseError, canonical_json
@@ -12,7 +13,9 @@ from sudoku_spectra.spectrum import (
     CertificateError,
     PairCache,
     RealizationCertificate,
+    RealizationError,
     SpectrumError,
+    _box_type_for,
     realize_latin_pair,
     realize_sudoku_pair,
 )
@@ -31,11 +34,48 @@ def test_latin_pairs_for_every_value_up_to_order_five():
 def test_latin_pairs_spot_checks_at_larger_orders():
     rng = np.random.default_rng(32)
     cache = PairCache()
-    for w in (6, 7, 9):
+    for w in (6, 7, 8, 9, 10, 12):
         n2 = w * w
         for s in (0, 1, n2 // 2, n2 - 6, n2 - 4, n2):
             a, b = realize_latin_pair(w, s, rng, cache=cache)
             assert intersection_size(a, b) == s, (w, s)
+
+
+def test_composite_orders_are_built_without_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("composite orders must not search")
+
+    monkeypatch.setattr(spectrum, "_search_second", no_search)
+    rng = np.random.default_rng(35)
+    for w in (4, 6, 8, 9, 12, 16):
+        cache = PairCache()
+        for s in sorted(latin_spectrum(w)):
+            a, b = realize_latin_pair(w, s, rng, cache=cache)
+            assert a.order == b.order == w
+            assert intersection_size(a, b) == s, (w, s)
+
+
+def test_composite_orders_use_a_box_type_with_the_same_spectrum():
+    for w in range(2, 145):
+        a, b = _box_type_for(w)
+        assert a * b == w and a <= b
+        if a > 1:
+            assert sudoku_spectrum(a, b) == latin_spectrum(w), w
+        else:
+            assert all(w % d for d in range(2, w)), w  # only primes are searched
+
+
+def test_realization_error_names_order_target_rounds_and_budget(monkeypatch):
+    def over_budget(*args):
+        raise spectrum._BudgetExceeded
+
+    monkeypatch.setattr(spectrum, "_search_second", over_budget)
+    with pytest.raises(RealizationError) as exc:
+        realize_latin_pair(5, 10, 0, cache=PairCache())
+    message = str(exc.value)
+    budget = spectrum._NODE_BUDGET * 4 ** (spectrum._SEARCH_ROUNDS - 1)
+    for part in ("order-5", "in 10 cells", f"{spectrum._SEARCH_ROUNDS} rounds", f"{budget} nodes"):
+        assert part in message
 
 
 def test_latin_pair_rejects_impossible_values():
@@ -138,7 +178,8 @@ def test_tall_types_are_transposed_products():
 def test_large_type_spot_checks():
     rng = np.random.default_rng(34)
     cache = PairCache()
-    for h, w, t in [(5, 5, 0), (5, 5, 619), (5, 5, 625), (3, 5, 100), (2, 6, 47)]:
+    for h, w, t in [(5, 5, 0), (5, 5, 619), (5, 5, 625), (3, 5, 100), (2, 6, 47),
+                    (2, 32, 4089), (2, 48, 0)]:
         cert = realize_sudoku_pair(h, w, t, rng, cache=cache)
         assert cert.verify() == t
         assert cert.method == "product"
