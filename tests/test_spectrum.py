@@ -1,6 +1,8 @@
 """Realizing prescribed intersection values."""
 
 import json
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ def test_composite_orders_are_built_without_search(monkeypatch):
         raise AssertionError("composite orders must not search")
 
     monkeypatch.setattr(spectrum, "_search_second", no_search)
+    default_size = len(spectrum.DEFAULT_PAIR_CACHE)
     rng = np.random.default_rng(35)
     for w in (4, 6, 8, 9, 12, 16):
         cache = PairCache()
@@ -53,6 +56,40 @@ def test_composite_orders_are_built_without_search(monkeypatch):
             a, b = realize_latin_pair(w, s, rng, cache=cache)
             assert a.order == b.order == w
             assert intersection_size(a, b) == s, (w, s)
+    # the inner pairs of the block product go to the given cache only
+    assert len(spectrum.DEFAULT_PAIR_CACHE) == default_size
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("w, s, raises_limit", [(11, 40, False), (37, 100, True)])
+def test_an_interrupted_prime_order_search_leaves_no_state_behind(w, s, raises_limit):
+    """Both searches run for well over 0.1 s.  A signal that cuts one off
+    restores the recursion limit and leaves both caches as they were."""
+    limit = sys.getrecursionlimit()
+    default_size = len(spectrum.DEFAULT_PAIR_CACHE)
+    limits_seen = []
+
+    def interrupt(signum, frame):
+        limits_seen.append(sys.getrecursionlimit())
+        raise _Interrupted
+
+    cache = PairCache()
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(_Interrupted):
+            realize_latin_pair(w, s, 0, cache=cache)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (limits_seen[0] > limit) == raises_limit  # cut off inside the search
+    assert sys.getrecursionlimit() == limit
+    assert len(cache) == 0 and len(spectrum.DEFAULT_PAIR_CACHE) == default_size
+    a, b = realize_latin_pair(5, 10, 0, cache=cache)
+    assert intersection_size(a, b) == 10
 
 
 def test_composite_orders_use_a_box_type_with_the_same_spectrum():
