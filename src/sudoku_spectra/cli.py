@@ -11,7 +11,8 @@ Subcommands:
 * ``pentadoku``: run the 5x5 pentomino-cage census.
 
 Exit codes: 0 on success, 2 when a requested value lies outside the
-spectrum, 1 for I/O, parse, or validation problems.
+spectrum, 1 for I/O, parse, or validation problems and for a sampler or
+search that gives up within its budget.
 """
 from __future__ import annotations
 
@@ -23,10 +24,16 @@ from .construct import latin_spectrum, sudoku_spectrum
 from .core import BoxType, intersection_size
 from .enumeration import brute_force_latin_spectrum, brute_force_spectrum
 from .formats import STYLES, parse, serialize
-from .markov import drift_near, sample_sudoku
+from .markov import SampleError, drift_near, sample_sudoku
 from .pentadoku import classify_all, write_census
 from .seeds import DATABASE, verify_seed_database
-from .spectrum import DEFAULT_MAX_ORDER, PairCache, SpectrumError, realize_sudoku_pair
+from .spectrum import (
+    DEFAULT_MAX_ORDER,
+    PairCache,
+    RealizationError,
+    SpectrumError,
+    realize_sudoku_pair,
+)
 
 
 def _box_args(p: argparse.ArgumentParser) -> None:
@@ -190,9 +197,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # covers malformed input, validation failures, and bad bounds;
-        # spectrum misses are handled inside cmd_realize with exit 2
+    except (ValueError, OSError, SampleError, RealizationError) as exc:
+        # covers malformed input, validation failures, bad bounds and
+        # searches out of budget; spectrum misses are handled inside
+        # cmd_realize with exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,14 @@
 Jacobson-Matthews chain on latin squares, and helpers for steering a
 square toward or away from a reference.
 
+``complete_grid`` is the package's one find-one backtracker: a
+depth-first fill on an explicit stack under a node budget, in which the
+caller's ``branch`` picks the next cell and the order of its symbols.
+The samplers pass a most-constrained-first branch with random ties and
+symbol order; ``spectrum`` passes a row-major branch steered toward or
+away from agreement with a base square.  Enumerating every completion
+is a different job and stays in ``enumeration``.
+
 The chain walks the 0/1 incidence cube f(r, c, s) of a latin square (all
 line sums 1), allowing one improper cell with a -1 entry.  From a proper
 state, pick a uniform empty triple and trade along the implied 2x2x2
@@ -38,6 +46,57 @@ class SampleError(RuntimeError):
     """Backtracking sampler exhausted its restart budget."""
 
 
+def complete_grid(n: int, group_of: list[int] | None, branch, budget: int) -> list[int] | None:
+    """Fill an order-n grid depth-first, one cell per level, on an explicit
+    stack, so no order is limited by the interpreter's recursion depth.
+
+    The kernel keeps the row, column and group bitmasks (``group_of[pos]``
+    in 0..n-1 names each cell's box; None for no groups).  At each level
+    ``branch(grid, depth, rows, cols, groups)`` sees the row-major grid
+    (-1 marks an empty cell) with ``depth`` cells filled and returns the
+    next cell and the symbols to try there, in order; an empty list is a
+    dead end.  Each symbol tried counts one node.  Returns the filled
+    grid, or None when the tree is exhausted or a node beyond ``budget``
+    would be tried.
+    """
+    total = n * n
+    grid = [-1] * total
+    rows = [0] * n
+    cols = [0] * n
+    groups = [0] * n
+    cell = [0] * total  # the cell filled at each level
+    untried = [None] * total  # and an iterator over its symbols not yet tried
+    depth = nodes = 0
+    while depth < total:
+        pos, symbols = branch(grid, depth, rows, cols, groups)
+        cell[depth] = pos
+        todo = untried[depth] = iter(symbols)
+        sym = next(todo, -1)
+        while sym < 0:  # exhausted: back up one level and lift its symbol
+            if depth == 0:
+                return None
+            depth -= 1
+            pos = cell[depth]
+            bit = 1 << grid[pos]
+            rows[pos // n] ^= bit
+            cols[pos % n] ^= bit
+            if group_of is not None:
+                groups[group_of[pos]] ^= bit
+            grid[pos] = -1
+            sym = next(untried[depth], -1)
+        nodes += 1
+        if nodes > budget:
+            return None
+        grid[pos] = sym
+        bit = 1 << sym
+        rows[pos // n] |= bit
+        cols[pos % n] |= bit
+        if group_of is not None:
+            groups[group_of[pos]] |= bit
+        depth += 1
+    return grid
+
+
 def _sample_grid(n: int, box_of: list[int] | None, rng: np.random.Generator,
                  effort: int) -> list[int] | None:
     """One randomized backtracking attempt; None on budget exhaustion.
@@ -48,26 +107,9 @@ def _sample_grid(n: int, box_of: list[int] | None, rng: np.random.Generator,
     """
     total = n * n
     full = (1 << n) - 1
-    row_masks = [0] * n
-    col_masks = [0] * n
-    box_masks = [0] * n
-    grid = [-1] * total
-    budget = effort * total
 
-    def avail_of(pos: int) -> int:
-        r, c = divmod(pos, n)
-        a = full & ~row_masks[r] & ~col_masks[c]
-        if box_of is not None:
-            a &= ~box_masks[box_of[pos]]
-        return a
-
-    nodes = 0
-
-    def go(filled: int) -> bool:
-        nonlocal nodes
-        if filled == total:
-            return True
-        # most-constrained empty cell, ties broken at random
+    def most_constrained(grid, depth, rows, cols, groups):
+        # a full rescan per node, ties broken at random
         best_pos = -1
         best_count = n + 1
         best_avail = 0
@@ -75,10 +117,12 @@ def _sample_grid(n: int, box_of: list[int] | None, rng: np.random.Generator,
         for pos in range(total):
             if grid[pos] >= 0:
                 continue
-            a = avail_of(pos)
+            a = full & ~rows[pos // n] & ~cols[pos % n]
+            if box_of is not None:
+                a &= ~groups[box_of[pos]]
             cnt = a.bit_count()
             if cnt == 0:
-                return False
+                return pos, []
             if cnt < best_count:
                 best_count = cnt
                 best_pos = pos
@@ -89,35 +133,10 @@ def _sample_grid(n: int, box_of: list[int] | None, rng: np.random.Generator,
                 if rng.integers(ties) == 0:
                     best_pos = pos
                     best_avail = a
-        pos, a = best_pos, best_avail
-        r, c = divmod(pos, n)
-        syms = []
-        while a:
-            bit = a & -a
-            a ^= bit
-            syms.append(bit.bit_length() - 1)
-        order = rng.permutation(len(syms))
-        for idx in order:
-            nodes += 1
-            if nodes > budget:
-                return False
-            s = syms[idx]
-            bit = 1 << s
-            grid[pos] = s
-            row_masks[r] |= bit
-            col_masks[c] |= bit
-            if box_of is not None:
-                box_masks[box_of[pos]] |= bit
-            if go(filled + 1):
-                return True
-            grid[pos] = -1
-            row_masks[r] ^= bit
-            col_masks[c] ^= bit
-            if box_of is not None:
-                box_masks[box_of[pos]] ^= bit
-        return False
+        syms = [s for s in range(n) if best_avail >> s & 1]
+        return best_pos, [syms[i] for i in rng.permutation(len(syms))]
 
-    return grid if go(0) else None
+    return complete_grid(n, box_of, most_constrained, effort * total)
 
 
 def random_latin_square(n: int, rng=None, *, effort: int = 100, restarts: int = 20) -> LatinSquare:

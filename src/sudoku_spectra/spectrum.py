@@ -28,7 +28,6 @@ import itertools
 import json
 import math
 import os
-import sys
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ from .core import (
     intersection_size,
 )
 from .formats import ParseError, canonical_json
-from .markov import ensure_rng, random_latin_square
+from .markov import complete_grid, ensure_rng, random_latin_square
 from .seeds import DATABASE, SeedDatabase
 
 
@@ -175,71 +174,39 @@ class PairCache:
 DEFAULT_PAIR_CACHE = PairCache()
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _search_second(a_flat: list[int], w: int, s: int, budget: int) -> list[int] | None:
-    """Depth-first search for a latin square agreeing with ``a`` in
-    exactly s cells.  Returns its flat cell list, or None if the subtree
-    under this base square is exhausted.  Raises _BudgetExceeded when the
+    """Depth-first search, in row-major cell order, for a latin square
+    agreeing with ``a`` in exactly s cells.  Returns its flat cell list,
+    or None if the subtree under this base square is exhausted or the
     node budget runs out."""
     total = w * w
     full = (1 << w) - 1
-    row_masks = [0] * w
-    col_masks = [0] * w
-    b = [0] * total
-    nodes = 0
-    agreed = 0
+    agreed = [0] * (total + 1)  # agreements with a among the first pos cells
 
-    def go(pos: int) -> bool:
-        nonlocal nodes, agreed
-        if pos == total:
-            return agreed == s
-        r, c = divmod(pos, w)
-        avail = full & ~row_masks[r] & ~col_masks[c]
-        if not avail:
-            return False
-        rem_after = total - pos - 1
-        need = s - agreed
-        agree_bit = (1 << a_flat[pos]) & avail
+    def steer(grid, pos, rows, cols, groups):  # row-major: the depth is the cell
+        if pos:
+            agreed[pos] = agreed[pos - 1] + (grid[pos - 1] == a_flat[pos - 1])
+        done = agreed[pos]
+        left = total - pos  # this cell included; done + left >= s always holds
+        free = full & ~(rows[pos // w] | cols[pos % w])
+        agree = a_flat[pos]
+        agree_bit = free & (1 << agree)
         order = []
-        rest = avail & ~agree_bit
-        # behind quota: try the agreeing symbol first, else last
-        if agree_bit and 2 * need >= total - pos:
-            order.append(agree_bit)
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            order.append(bit)
-        if agree_bit and 2 * need < total - pos:
-            order.append(agree_bit)
-        for bit in order:
-            agree = 1 if bit == agree_bit else 0
-            new_agreed = agreed + agree
-            if new_agreed > s or new_agreed + rem_after < s:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            b[pos] = bit.bit_length() - 1
-            row_masks[r] |= bit
-            col_masks[c] |= bit
-            agreed = new_agreed
-            if go(pos + 1):
-                return True
-            row_masks[r] ^= bit
-            col_masks[c] ^= bit
-            agreed = new_agreed - agree
-        return False
+        if done + left > s:  # a disagreement here still leaves room to reach s
+            rest = free ^ agree_bit
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                order.append(bit.bit_length() - 1)
+        if agree_bit and done < s:
+            # behind quota: try the agreeing symbol first, else last
+            if 2 * (s - done) >= left:
+                order.insert(0, agree)
+            else:
+                order.append(agree)
+        return pos, order
 
-    limit = sys.getrecursionlimit()
-    if total + 100 > limit:
-        sys.setrecursionlimit(total + 200)
-    try:
-        return b if go(0) else None
-    finally:
-        sys.setrecursionlimit(limit)
+    return complete_grid(w, None, steer, budget)
 
 
 _NODE_BUDGET = 200_000
@@ -260,10 +227,7 @@ def _search_pair(w: int, s: int, rng) -> tuple[LatinSquare, LatinSquare]:
         budget = _NODE_BUDGET * 4**round_no
         randoms = (random_latin_square(w, rng) for _ in range(4 * (round_no + 1)))
         for a in itertools.chain([cyclic_square(w)], randoms):
-            try:
-                found = _search_second(a.cells.ravel().tolist(), w, s, budget)
-            except _BudgetExceeded:
-                continue
+            found = _search_second(a.cells.ravel().tolist(), w, s, budget)
             if found is not None:
                 b = LatinSquare(np.array(found, dtype=np.int64).reshape(w, w))
                 assert intersection_size(a, b) == s

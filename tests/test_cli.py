@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sudoku_spectra import spectrum
 from sudoku_spectra.cli import main
 from sudoku_spectra.core import BoxType
 from sudoku_spectra.formats import parse, serialize
@@ -169,6 +170,20 @@ def test_sample_grid_format_and_drift(capsys):
                      "--steps", "4", "--format", "grid")
     assert rc == 0
     parse(out, BoxType(2, 4), "grid")
+
+
+def test_sample_out_of_budget_exits_1(capsys):
+    rc, out, err = run(capsys, "sample", "--h", "2", "--w", "3", "--seed", "0", "--effort", "0")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: failed to sample a (2, 3) Sudoku square")
+
+
+def test_realize_search_out_of_budget_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectrum, "_search_second", lambda *args: None)
+    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "5", "--t", "0",
+                       "--cache", str(tmp_path / "cache.json"))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: no pair of order-5 latin squares meeting in 0 cells")
 
 
 def test_pentadoku_to_file(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sudoku_spectra.core import (
     BoxType,
@@ -23,6 +25,7 @@ from sudoku_spectra.markov import (
     sample_latin_chain,
     sample_sudoku,
 )
+from sudoku_spectra.spectrum import PairCache, realize_latin_pair
 
 
 def test_ensure_rng_passthrough_and_seeding():
@@ -60,6 +63,59 @@ def test_samples_vary():
 def test_sampler_budget_exhaustion_raises():
     with pytest.raises(SampleError):
         random_latin_square(5, 0, effort=0, restarts=2)
+
+
+def test_large_orders_run_out_of_budget_not_out_of_stack():
+    # the fill is iterative: order 33 needs 1089 levels
+    with pytest.raises(SampleError):
+        random_latin_square(33, 0, effort=1, restarts=1)
+
+
+def test_seeded_outputs_are_pinned():
+    # recorded literals: a change here means the RNG draws moved
+    assert sample_sudoku(2, 3, 42).cells.tolist() == [
+        [5, 0, 1, 3, 4, 2],
+        [3, 2, 4, 0, 5, 1],
+        [4, 5, 2, 1, 3, 0],
+        [1, 3, 0, 5, 2, 4],
+        [0, 4, 5, 2, 1, 3],
+        [2, 1, 3, 4, 0, 5],
+    ]
+    latin_7 = [
+        [1, 6, 0, 5, 3, 4, 2],
+        [5, 2, 6, 3, 4, 0, 1],
+        [6, 0, 1, 2, 5, 3, 4],
+        [2, 5, 4, 1, 0, 6, 3],
+        [3, 4, 5, 0, 2, 1, 6],
+        [4, 3, 2, 6, 1, 5, 0],
+        [0, 1, 3, 4, 6, 2, 5],
+    ]
+    assert random_latin_square(7, 42).cells.tolist() == latin_7
+    # the cyclic base misses s = 45, so the search draws one random base
+    a, b = realize_latin_pair(7, 45, 42, cache=PairCache())
+    assert a.cells.tolist() == latin_7
+    assert b.cells.tolist() == latin_7[:4] + [
+        [3, 4, 5, 6, 2, 1, 0],
+        [4, 3, 2, 0, 1, 5, 6],
+        [0, 1, 3, 4, 6, 2, 5],
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    box=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    effort=st.integers(0, 3),
+)
+def test_sampler_returns_a_square_or_raises_within_its_budget(box, seed, effort):
+    h, w = box
+    try:
+        square = sample_sudoku(h, w, seed, effort=effort, restarts=1)
+    except SampleError:
+        return
+    assert validate_sudoku(square.cells, BoxType(h, w)).ok
+    # the budget only cuts the search short, so more of it finds the same square
+    assert sample_sudoku(h, w, seed, effort=effort + 5, restarts=1) == square
 
 
 def test_chain_invariants_hold_along_the_walk():

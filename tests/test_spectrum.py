@@ -6,11 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sudoku_spectra import spectrum
 from sudoku_spectra.construct import latin_spectrum, sudoku_spectrum
-from sudoku_spectra.core import BoxType, intersection_size
+from sudoku_spectra.core import BoxType, LatinSquare, cyclic_square, intersection_size
 from sudoku_spectra.formats import ParseError, canonical_json
+from sudoku_spectra.markov import complete_grid
 from sudoku_spectra.spectrum import (
     CertificateError,
     PairCache,
@@ -64,16 +67,21 @@ class _Interrupted(Exception):
     pass
 
 
-@pytest.mark.parametrize("w, s, raises_limit", [(11, 40, False), (37, 100, True)])
-def test_an_interrupted_prime_order_search_leaves_no_state_behind(w, s, raises_limit):
+@pytest.mark.parametrize("w, s", [(11, 40), (37, 100)])
+def test_an_interrupted_prime_order_search_leaves_no_state_behind(w, s):
     """Both searches run for well over 0.1 s.  A signal that cuts one off
-    restores the recursion limit and leaves both caches as they were."""
+    inside the fill leaves the recursion limit and both caches as they
+    were."""
     limit = sys.getrecursionlimit()
     default_size = len(spectrum.DEFAULT_PAIR_CACHE)
     limits_seen = []
+    in_fill = []
 
     def interrupt(signum, frame):
         limits_seen.append(sys.getrecursionlimit())
+        while frame is not None and frame.f_code is not complete_grid.__code__:
+            frame = frame.f_back
+        in_fill.append(frame is not None)
         raise _Interrupted
 
     cache = PairCache()
@@ -85,8 +93,8 @@ def test_an_interrupted_prime_order_search_leaves_no_state_behind(w, s, raises_l
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert (limits_seen[0] > limit) == raises_limit  # cut off inside the search
-    assert sys.getrecursionlimit() == limit
+    assert in_fill == [True]  # cut off inside the search
+    assert limits_seen == [limit] and sys.getrecursionlimit() == limit
     assert len(cache) == 0 and len(spectrum.DEFAULT_PAIR_CACHE) == default_size
     a, b = realize_latin_pair(5, 10, 0, cache=cache)
     assert intersection_size(a, b) == 10
@@ -103,16 +111,28 @@ def test_composite_orders_use_a_box_type_with_the_same_spectrum():
 
 
 def test_realization_error_names_order_target_rounds_and_budget(monkeypatch):
-    def over_budget(*args):
-        raise spectrum._BudgetExceeded
-
-    monkeypatch.setattr(spectrum, "_search_second", over_budget)
+    monkeypatch.setattr(spectrum, "_search_second", lambda *args: None)
     with pytest.raises(RealizationError) as exc:
         realize_latin_pair(5, 10, 0, cache=PairCache())
     message = str(exc.value)
     budget = spectrum._NODE_BUDGET * 4 ** (spectrum._SEARCH_ROUNDS - 1)
     for part in ("order-5", "in 10 cells", f"{spectrum._SEARCH_ROUNDS} rounds", f"{budget} nodes"):
         assert part in message
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.sampled_from([5, 7]), data=st.data(), budget=st.integers(1, 5000))
+def test_budgeted_search_finds_nothing_or_an_exact_pair(w, data, budget):
+    s = data.draw(st.sampled_from(sorted(latin_spectrum(w))))
+    a = cyclic_square(w)
+    a_flat = a.cells.ravel().tolist()
+    found = spectrum._search_second(a_flat, w, s, budget)
+    if found is None:
+        return
+    b = LatinSquare(np.array(found).reshape(w, w))
+    assert intersection_size(a, b) == s
+    # the budget only cuts the search short, so more of it finds the same square
+    assert spectrum._search_second(a_flat, w, s, budget + 5000) == found
 
 
 def test_latin_pair_rejects_impossible_values():
