@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``realize``: find a pair of Sudoku squares at a target intersection and
-  print the verified value; ``--out`` writes the certificate JSON.
+* ``realize``: construct a pair of Sudoku squares at a target intersection
+  and print the verified value; ``--out`` writes the certificate JSON.
 * ``verify``: parse two squares, validate them, print their intersection.
 * ``spectrum``: print the spectrum from the theorem, by brute force, or
   as witnessed by the seed fixtures.
@@ -11,8 +11,8 @@ Subcommands:
 * ``pentadoku``: run the 5x5 pentomino-cage census.
 
 Exit codes: 0 on success, 2 when a requested value lies outside the
-spectrum, 1 for I/O, parse, or validation problems and for a sampler or
-search that gives up within its budget.
+spectrum, 1 for I/O, parse, or validation problems and for a sampler that
+gives up within its budget.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ def cmd_spectrum(args) -> int:
     seed_set = DATABASE.get(args.h, args.w)
     labels = seed_set.labels()
     print(_fmt_values(labels))
-    claim = sudoku_spectrum(args.h, args.w)
+    claim = latin_spectrum(args.w) if args.h == 1 else sudoku_spectrum(args.h, args.w)
     note = "the full spectrum" if labels == claim else "a subset of the spectrum"
     print(f"# seed fixtures witness {note} for box type ({args.h}, {args.w})", file=sys.stderr)
     return 0
@@ -151,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     _box_args(p)
     p.add_argument("--t", type=int, required=True, help="target intersection size")
     p.add_argument("--out", help="write the certificate JSON here")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed for the search")
-    p.add_argument("--cache", help="JSON memo cache file for latin pair searches")
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted and unused: every pair is built without randomness")
+    p.add_argument("--cache", help="JSON memo cache file for the latin pairs built")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                    help="largest supported order h*w")
     p.set_defaults(func=cmd_realize)
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, SampleError, RealizationError) as exc:
         # covers malformed input, validation failures, bad bounds and
-        # searches out of budget; spectrum misses are handled inside
+        # samplers out of budget; spectrum misses are handled inside
         # cmd_realize with exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,9 +6,8 @@ square toward or away from a reference.
 depth-first fill on an explicit stack under a node budget, in which the
 caller's ``branch`` picks the next cell and the order of its symbols.
 The samplers pass a most-constrained-first branch with random ties and
-symbol order; ``spectrum`` passes a row-major branch steered toward or
-away from agreement with a base square.  Enumerating every completion
-is a different job and stays in ``enumeration``.
+symbol order.  Enumerating every completion is a different job and
+stays in ``enumeration``.
 
 The chain walks the 0/1 incidence cube f(r, c, s) of a latin square (all
 line sums 1), allowing one improper cell with a -1 entry.  From a proper

@@ -6,10 +6,16 @@ notation use the last entry as the reference (it is the square compared
 with itself, so its label is n^2); files in grid notation label the
 reference ``L``.
 
-These seeds serve two roles: they witness complete spectra at the small
-box types (2,2), (2,3), (3,3), and they supply the three exceptional
+These seeds serve three roles: they witness complete spectra at the
+small box types (2,2), (2,3), (3,3); they supply the three exceptional
 targets n^2-6, n^2-9, n^2-11 at box width 4 that no product
-decomposition reaches.
+decomposition reaches; and, stored as box type (1, w) (each box one
+row), they hold latin pairs at the prime orders the holed-square
+construction does not cover: every value at orders 2, 3, 5 and 7, and
+the nine values it misses at order 11.
+
+Every label is recomputed when its file is loaded; a label that does not
+match raises ParseError (kind "label").
 """
 from __future__ import annotations
 
@@ -17,9 +23,10 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import BoxType, SudokuSquare, intersection_size
-from .formats import parse_grid, parse_single_line
+from .formats import ParseError, parse_grid, parse_single_line
 
-SEED_TYPES = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4))
+SEED_TYPES = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4),
+              (1, 2), (1, 3), (1, 5), (1, 7), (1, 11))
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,13 @@ def _parse_fixture(text: str, box_type: BoxType) -> SeedSet:
     else:
         reference = raw[-1][1]
         entries = tuple((int(label), sq) for label, sq in raw[:-1])
+    for label, square in entries:
+        actual = intersection_size(square, reference)
+        if actual != label:
+            raise ParseError(
+                "label", f"seed labelled {label} for box type {box_type} meets its reference "
+                f"in {actual} cells"
+            )
     return SeedSet(box_type, entries, reference)
 
 
@@ -124,9 +138,9 @@ class SeedVerification:
 def verify_seed_database(db: SeedDatabase = DATABASE) -> SeedVerification:
     """Recompute every label against its reference square.
 
-    Square validity is enforced at parse time, so a fixture that is not a
-    Sudoku square of its claimed type fails to load at all; this check
-    covers the intersection claims, including the reference against
+    Loading already rejects a fixture that is not a Sudoku square of its
+    claimed type or whose label does not match; this recomputes every
+    intersection claim again as a report, including the reference against
     itself (label n^2).
     """
     checks = []

@@ -13,18 +13,27 @@ squares, plus the machinery behind it.
   Sudoku form.  Intersections add across family slots, so the assembled
   pair meets the target exactly; the result is re-verified anyway.
 
-``realize_latin_pair(w, s)`` at a composite order w = a*b is a box type
-(a, b) Sudoku pair, whose spectrum is the order-w latin spectrum, so it
-comes from ``realize_sudoku_pair`` (seeds and the block product) with no
-search.  Only at prime orders does it search depth-first for a second
-square at prescribed agreement with a base square (the cyclic square,
-then random squares), steering candidate order toward or away from
-agreement depending on the remaining quota.  Found pairs go into a memo
-cache, optionally persisted as a JSON file.
+``realize_latin_pair(w, s)`` never searches, and its pair depends on
+(w, s) alone:
+
+* at a composite order w = a*b the pair is a box type (a, b) Sudoku pair,
+  whose spectrum is the order-w latin spectrum, so it comes from
+  ``realize_sudoku_pair`` (seeds and the block product);
+* at the prime orders 2, 3, 5 and 7, and for the nine values the holed
+  square misses at order 11, it comes from checked-in seed fixtures of
+  box type (1, w);
+* at every other prime order p >= 11 it is a holed square (Dénes and
+  Keedwell 1974; Evans 1960): the cyclic square of odd order k = p - m
+  on the symbols m..p-1, prolonged along its broken diagonals 0..m-1,
+  leaves an order-m hole, m even, that takes an order-m latin pair (X, Y)
+  meeting in x cells.  A symbol permutation of the second square that
+  fixes a of the m hole symbols and b of the k outer symbols gives
+  |A ∩ B| = k*a + p*b + x.
+
+Pairs go into a memo cache, optionally persisted as a JSON file.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -53,7 +62,6 @@ from .core import (
     intersection_size,
 )
 from .formats import ParseError, canonical_json
-from .markov import complete_grid, ensure_rng, random_latin_square
 from .seeds import DATABASE, SeedDatabase
 
 
@@ -62,8 +70,9 @@ class SpectrumError(ValueError):
 
 
 class RealizationError(RuntimeError):
-    """The search gave up; with default budgets this indicates a bug for
-    any value inside the spectrum."""
+    """No construction reaches a value inside the spectrum.  Seeds, block
+    products and holed squares cover every achievable value at every
+    order, so this indicates a bug."""
 
 
 class CertificateError(AssertionError):
@@ -108,8 +117,9 @@ class PairCache:
 
     With a path, the cache round-trips through a canonical JSON file;
     entries failing validation on load are dropped silently (the cache is
-    advisory, searches recompute what it cannot supply).  A file that is
-    not a JSON object raises ParseError (kind "cache") and is left as is.
+    advisory, the constructions rebuild what it cannot supply).  A file
+    that is not a JSON object raises ParseError (kind "cache") and is left
+    as is.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -174,45 +184,6 @@ class PairCache:
 DEFAULT_PAIR_CACHE = PairCache()
 
 
-def _search_second(a_flat: list[int], w: int, s: int, budget: int) -> list[int] | None:
-    """Depth-first search, in row-major cell order, for a latin square
-    agreeing with ``a`` in exactly s cells.  Returns its flat cell list,
-    or None if the subtree under this base square is exhausted or the
-    node budget runs out."""
-    total = w * w
-    full = (1 << w) - 1
-    agreed = [0] * (total + 1)  # agreements with a among the first pos cells
-
-    def steer(grid, pos, rows, cols, groups):  # row-major: the depth is the cell
-        if pos:
-            agreed[pos] = agreed[pos - 1] + (grid[pos - 1] == a_flat[pos - 1])
-        done = agreed[pos]
-        left = total - pos  # this cell included; done + left >= s always holds
-        free = full & ~(rows[pos // w] | cols[pos % w])
-        agree = a_flat[pos]
-        agree_bit = free & (1 << agree)
-        order = []
-        if done + left > s:  # a disagreement here still leaves room to reach s
-            rest = free ^ agree_bit
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                order.append(bit.bit_length() - 1)
-        if agree_bit and done < s:
-            # behind quota: try the agreeing symbol first, else last
-            if 2 * (s - done) >= left:
-                order.insert(0, agree)
-            else:
-                order.append(agree)
-        return pos, order
-
-    return complete_grid(w, None, steer, budget)
-
-
-_NODE_BUDGET = 200_000
-_SEARCH_ROUNDS = 5
-
-
 def _box_type_for(w: int) -> tuple[int, int]:
     """(a, w // a) with a the largest divisor of w at most sqrt(w); a == 1
     exactly when w is 1 or prime."""
@@ -220,23 +191,46 @@ def _box_type_for(w: int) -> tuple[int, int]:
     return a, w // a
 
 
-def _search_pair(w: int, s: int, rng) -> tuple[LatinSquare, LatinSquare]:
-    """Search from the cyclic square, then from random squares, with a
-    node budget per base that grows fourfold each round."""
-    for round_no in range(_SEARCH_ROUNDS):
-        budget = _NODE_BUDGET * 4**round_no
-        randoms = (random_latin_square(w, rng) for _ in range(4 * (round_no + 1)))
-        for a in itertools.chain([cyclic_square(w)], randoms):
-            found = _search_second(a.cells.ravel().tolist(), w, s, budget)
-            if found is not None:
-                b = LatinSquare(np.array(found, dtype=np.int64).reshape(w, w))
-                assert intersection_size(a, b) == s
-                return a, b
-    raise RealizationError(
-        f"no pair of order-{w} latin squares meeting in {s} cells found in "
-        f"{_SEARCH_ROUNDS} rounds of search from the cyclic and random base squares, "
-        f"the last at {budget} nodes per base; {s} is achievable at order {w}"
-    )
+def _holed_split(p: int, s: int) -> tuple[int, int, int, int] | None:
+    """(m, a, b, x) with s = (p - m)*a + p*b + x: m even, 4 <= m <= p/2, a
+    in 0..m-2 or m, b in 0..k-2 or k for k = p - m, and x in the order-m
+    latin spectrum.  The smallest hole wins; None if there is no split."""
+    for m in range(4, p // 2 + 1, 2):
+        k = p - m
+        inner = latin_spectrum(m)
+        for a in (*range(m - 1), m):
+            rest = s - k * a
+            # b such that 0 <= x = rest - p*b <= m*m
+            for b in range(max(0, -((m * m - rest) // p)), min(rest // p, k) + 1):
+                if b != k - 1 and rest - p * b in inner:
+                    return m, a, b, rest - p * b
+    return None
+
+
+def _holed_pair(p: int, m: int, a: int, b: int, x: int, cache: PairCache,
+                seed_db: SeedDatabase) -> tuple[LatinSquare, LatinSquare]:
+    """The order-p pair of a ``_holed_split``, meeting in (p - m)*a + p*b + x
+    cells."""
+    k = p - m
+    i = np.arange(k)
+    r = np.arange(m)[:, None]
+    cols = (i + r) % k  # broken diagonal r: one cell in each row i
+    rows = np.broadcast_to(i, cols.shape)
+    moved = m + (2 * i + r) % k  # the cyclic symbol on it, a transversal as k is odd
+    holed = np.zeros((p, p), dtype=np.int64)
+    holed[:k, :k] = m + (i[:, None] + i) % k
+    holed[rows, cols] = r
+    holed[rows, k + r] = moved
+    holed[k + r, cols] = moved
+    tau = np.arange(p)  # fixes the first a hole and first b outer symbols
+    tau[a:m] = np.roll(tau[a:m], 1)
+    tau[m + b:] = np.roll(tau[m + b:], 1)
+    inner_a, inner_b = realize_latin_pair(m, x, cache=cache, seed_db=seed_db)
+    cells_a = holed.copy()
+    cells_a[k:, k:] = inner_a.cells
+    cells_b = tau[holed]
+    cells_b[k:, k:] = inner_b.cells
+    return LatinSquare(cells_a), LatinSquare(cells_b)
 
 
 def realize_latin_pair(
@@ -245,8 +239,11 @@ def realize_latin_pair(
     rng=None,
     *,
     cache: PairCache | None = None,
+    seed_db: SeedDatabase = DATABASE,
 ) -> tuple[LatinSquare, LatinSquare]:
-    """Two order-w latin squares meeting in exactly s cells."""
+    """Two order-w latin squares meeting in exactly s cells, built without
+    search (see the module docstring).  ``rng`` is passed on but never
+    drawn from: the pair is a function of (w, s)."""
     if w < 1:
         raise ValueError(f"order must be positive, got {w}")
     spectrum = latin_spectrum(w)
@@ -262,10 +259,20 @@ def realize_latin_pair(
         a = cyclic_square(w)
         pair = (a, a)
     elif box_h > 1:  # box_w < w, so this recursion ends
-        cert = realize_sudoku_pair(box_h, box_w, s, ensure_rng(rng), cache=cache, max_order=w)
+        cert = realize_sudoku_pair(box_h, box_w, s, rng, cache=cache, seed_db=seed_db,
+                                   max_order=w)
         pair = (cert.a.square, cert.b.square)
+    elif (1, w) in seed_db.types() and s in seed_db.get(1, w).labels():
+        a, b = seed_db.get(1, w).pair_for(s)
+        pair = (a.square, b.square)
     else:
-        pair = _search_pair(w, s, ensure_rng(rng))
+        split = _holed_split(w, s)
+        if split is None:
+            raise RealizationError(
+                f"no seed or holed-square split gives a pair of order-{w} latin squares "
+                f"meeting in {s} cells; {s} is achievable at order {w}"
+            )
+        pair = _holed_pair(w, *split, cache, seed_db)  # m < w, so this recursion ends
     cache.put(w, s, pair)
     return pair
 
@@ -382,7 +389,7 @@ def realize_sudoku_pair(
             row_b = []
             for k in range(hh):
                 part = dec.parts[i * hh + k]
-                pa, pb = realize_latin_pair(ww, part, rng, cache=cache)
+                pa, pb = realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db)
                 row_a.append(pa)
                 row_b.append(pb)
             members_a.append(row_a)

@@ -69,7 +69,7 @@ def test_exhaustive_sudoku_spectra_match_theory(sudoku_22_report, sudoku_23_repo
 def test_seed_fixtures_verify_exactly():
     result = verify_seed_database()
     assert result.ok, result.failures()
-    assert len(result.checks) == 133
+    assert len(result.checks) == 216
     assert all(c.claimed == c.actual for c in result.checks)
     print(f"PASS all {len(result.checks)} stored intersection labels recomputed exactly")
 

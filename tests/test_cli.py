@@ -155,6 +155,12 @@ def test_spectrum_seeds_mode(capsys):
     values = list(map(int, out.split()))
     assert values == sorted(set(range(76)) | {77, 81})
     assert "full spectrum" in err
+    # latin fixtures are box type (1, w), compared with the latin spectrum
+    rc, out, err = run(capsys, "spectrum", "--h", "1", "--w", "7", "--mode", "seeds")
+    assert rc == 0 and "full spectrum" in err
+    rc, out, err = run(capsys, "spectrum", "--h", "1", "--w", "11", "--mode", "seeds")
+    assert rc == 0 and "a subset" in err
+    assert out.split() == "5 82 98 101 102 104 110 112 115 121".split()
 
 
 def test_sample_is_deterministic_and_parseable(capsys):
@@ -178,12 +184,24 @@ def test_sample_out_of_budget_exits_1(capsys):
     assert err.startswith("error: failed to sample a (2, 3) Sudoku square")
 
 
-def test_realize_search_out_of_budget_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(spectrum, "_search_second", lambda *args: None)
-    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "5", "--t", "0",
+def test_realize_with_no_construction_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectrum, "_holed_split", lambda p, s: None)
+    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "13", "--t", "0",
                        "--cache", str(tmp_path / "cache.json"))
     assert rc == 1 and out == ""
-    assert err.startswith("error: no pair of order-5 latin squares meeting in 0 cells")
+    assert err.startswith("error: no seed or holed-square split gives a pair of order-13")
+
+
+@pytest.mark.parametrize("h, w", [(2, 71), (3, 47)])
+def test_realize_at_the_largest_prime_widths(tmp_path, capsys, h, w):
+    n = h * w  # 142 and 141, under the default --max-order 144
+    t = n * n - 4
+    cert_path = tmp_path / "cert.json"
+    rc, out, _ = run(capsys, "realize", "--h", str(h), "--w", str(w), "--t", str(t),
+                     "--out", str(cert_path))
+    assert rc == 0 and out.strip() == str(t)
+    cert = RealizationCertificate.from_json(cert_path.read_text())
+    assert cert.verify() == t and cert.a.box_type == BoxType(h, w)
 
 
 def test_pentadoku_to_file(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Checked-in seed squares and their intersection labels."""
 
+from importlib import resources
+
 import pytest
 
-from sudoku_spectra.construct import sudoku_spectrum
+from sudoku_spectra.construct import latin_spectrum, sudoku_spectrum
 from sudoku_spectra.core import BoxType, intersection_size, validate_sudoku
+from sudoku_spectra.formats import ParseError
 from sudoku_spectra.seeds import (
     DATABASE,
     SEED_TYPES,
     SeedDatabase,
+    _parse_fixture,
     load_seed_set,
     verify_seed_database,
 )
@@ -20,6 +24,13 @@ EXPECTED_LABELS = {
     (2, 4): {64 - 11, 64 - 9, 64 - 6},
     (3, 4): {144 - 11, 144 - 9, 144 - 6},
     (4, 4): {256 - 11, 256 - 9, 256 - 6},
+    # latin pairs at the prime orders without a holed square, and the
+    # nine values the holed square misses at order 11
+    (1, 2): {0},
+    (1, 3): {0, 3},
+    (1, 5): set(range(20)) | {21},
+    (1, 7): set(range(44)) | {45},
+    (1, 11): {5, 82, 98, 101, 102, 104, 110, 112, 115},
 }
 
 
@@ -42,6 +53,18 @@ def test_small_types_witness_their_whole_spectrum():
     # at the three smallest box types the seeds cover every achievable value
     for h, w in [(2, 2), (2, 3), (3, 3)]:
         assert DATABASE.get(h, w).labels() == sudoku_spectrum(h, w)
+    for w in (2, 3, 5, 7):
+        assert DATABASE.get(1, w).labels() == latin_spectrum(w)
+
+
+def test_labels_are_recomputed_on_load():
+    text = resources.files("sudoku_spectra.data").joinpath("seeds_1x7.txt").read_text()
+    assert _parse_fixture(text, BoxType(1, 7)).labels() == latin_spectrum(7)
+    tampered = text.replace("\n45: ", "\n44: ")
+    assert tampered != text
+    with pytest.raises(ParseError) as exc:
+        _parse_fixture(tampered, BoxType(1, 7))
+    assert exc.value.kind == "label" and "labelled 44" in str(exc.value)
 
 
 def test_verification_recomputes_every_label():

@@ -1,19 +1,19 @@
 """Realizing prescribed intersection values."""
 
 import json
-import signal
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sudoku_spectra import spectrum
+from sudoku_spectra import markov, spectrum
 from sudoku_spectra.construct import latin_spectrum, sudoku_spectrum
-from sudoku_spectra.core import BoxType, LatinSquare, cyclic_square, intersection_size
+from sudoku_spectra.core import BoxType, intersection_size, validate_latin
 from sudoku_spectra.formats import ParseError, canonical_json
-from sudoku_spectra.markov import complete_grid
+from sudoku_spectra.seeds import DATABASE
 from sudoku_spectra.spectrum import (
     CertificateError,
     PairCache,
@@ -24,6 +24,7 @@ from sudoku_spectra.spectrum import (
     realize_latin_pair,
     realize_sudoku_pair,
 )
+from tests.test_acceptance import REALIZE_TYPES
 
 
 def test_latin_pairs_for_every_value_up_to_order_five():
@@ -46,58 +47,96 @@ def test_latin_pairs_spot_checks_at_larger_orders():
             assert intersection_size(a, b) == s, (w, s)
 
 
-def test_composite_orders_are_built_without_search(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("composite orders must not search")
+ORDER_11_LEFTOVERS = {5, 82, 98, 101, 102, 104, 110, 112, 115}
 
-    monkeypatch.setattr(spectrum, "_search_second", no_search)
+
+def _forbid(monkeypatch, module, name):
+    """Make ``module.name`` raise at every binding site in the package."""
+    original = getattr(module, name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} must not run")
+
+    sites = [mod for key, mod in list(sys.modules.items())
+             if key.split(".")[0] == "sudoku_spectra" and getattr(mod, name, None) is original]
+    for mod in sites:
+        monkeypatch.setattr(mod, name, forbidden)
+    return sites
+
+
+def test_no_order_is_searched(monkeypatch):
+    for name in ("complete_grid", "random_latin_square"):
+        assert markov in _forbid(monkeypatch, markov, name)
     default_size = len(spectrum.DEFAULT_PAIR_CACHE)
-    rng = np.random.default_rng(35)
-    for w in (4, 6, 8, 9, 12, 16):
+    for w in range(2, 14):
         cache = PairCache()
         for s in sorted(latin_spectrum(w)):
-            a, b = realize_latin_pair(w, s, rng, cache=cache)
+            a, b = realize_latin_pair(w, s, 0, cache=cache)
             assert a.order == b.order == w
             assert intersection_size(a, b) == s, (w, s)
-    # the inner pairs of the block product go to the given cache only
+    cache = PairCache()
+    for h, w in REALIZE_TYPES:
+        for t in sorted(sudoku_spectrum(h, w)):
+            assert realize_sudoku_pair(h, w, t, 0, cache=cache).verify() == t
+    # the inner pairs go to the given cache only
     assert len(spectrum.DEFAULT_PAIR_CACHE) == default_size
 
 
-class _Interrupted(Exception):
-    pass
+def test_pairs_do_not_depend_on_the_rng():
+    for w in (5, 11, 13):
+        for s in sorted(latin_spectrum(w)):
+            a0, b0 = realize_latin_pair(w, s, 0, cache=PairCache())
+            a1, b1 = realize_latin_pair(w, s, 1, cache=PairCache())
+            assert a0 == a1 and b0 == b1, (w, s)
 
 
-@pytest.mark.parametrize("w, s", [(11, 40), (37, 100)])
-def test_an_interrupted_prime_order_search_leaves_no_state_behind(w, s):
-    """Both searches run for well over 0.1 s.  A signal that cuts one off
-    inside the fill leaves the recursion limit and both caches as they
-    were."""
-    limit = sys.getrecursionlimit()
-    default_size = len(spectrum.DEFAULT_PAIR_CACHE)
-    limits_seen = []
-    in_fill = []
+PRIMES = [11, 13, 17, 19, 23, 29, 31, 37]
 
-    def interrupt(signum, frame):
-        limits_seen.append(sys.getrecursionlimit())
-        while frame is not None and frame.f_code is not complete_grid.__code__:
-            frame = frame.f_back
-        in_fill.append(frame is not None)
-        raise _Interrupted
 
-    cache = PairCache()
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 0.1)
-        with pytest.raises(_Interrupted):
-            realize_latin_pair(w, s, 0, cache=cache)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert in_fill == [True]  # cut off inside the search
-    assert limits_seen == [limit] and sys.getrecursionlimit() == limit
-    assert len(cache) == 0 and len(spectrum.DEFAULT_PAIR_CACHE) == default_size
-    a, b = realize_latin_pair(5, 10, 0, cache=cache)
-    assert intersection_size(a, b) == 10
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_holed_pair_meets_in_k_a_plus_p_b_plus_x(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    m = data.draw(st.sampled_from(range(4, p // 2 + 1, 2)))
+    k = p - m
+    a = data.draw(st.sampled_from([*range(m - 1), m]))
+    b = data.draw(st.sampled_from([*range(k - 1), k]))
+    x = data.draw(st.sampled_from(sorted(latin_spectrum(m))))
+    sq_a, sq_b = spectrum._holed_pair(p, m, a, b, x, PairCache(), DATABASE)
+    assert validate_latin(sq_a.cells).ok and validate_latin(sq_b.cells).ok
+    assert set(sq_a.cells[k:, k:].ravel()) == set(range(m))  # the hole
+    assert intersection_size(sq_a, sq_b) == k * a + p * b + x
+
+
+def test_holed_split_misses_only_the_order_11_fixture_values():
+    for p in (11, 13, 17, 37, 71):
+        missed = {s for s in latin_spectrum(p) - {p * p} if spectrum._holed_split(p, s) is None}
+        assert missed == (ORDER_11_LEFTOVERS if p == 11 else set()), p
+    assert DATABASE.get(1, 11).labels() == ORDER_11_LEFTOVERS | {121}
+
+
+def test_every_target_at_prime_orders_11_13_37_and_a_sample_at_71_realizes():
+    worst = {}
+    for w in (11, 13, 37, 71):
+        targets = sorted(latin_spectrum(w))
+        if w == 71:
+            targets = targets[::97] + targets[-3:]
+        worst[w] = 0.0
+        for s in targets:
+            start = time.perf_counter()
+            a, b = realize_latin_pair(w, s, cache=PairCache())
+            worst[w] = max(worst[w], time.perf_counter() - start)
+            assert a.order == b.order == w
+            assert validate_latin(a.cells).ok and validate_latin(b.cells).ok
+            assert intersection_size(a, b) == s, (w, s)
+    print("worst ms per target:", {w: round(1000 * t, 1) for w, t in worst.items()})
+
+
+def test_an_uncovered_value_raises_realization_error(monkeypatch):
+    monkeypatch.setattr(spectrum, "_holed_split", lambda p, s: None)
+    with pytest.raises(RealizationError) as exc:
+        realize_latin_pair(13, 40, cache=PairCache())
+    assert "order-13" in str(exc.value) and "in 40 cells" in str(exc.value)
 
 
 def test_composite_orders_use_a_box_type_with_the_same_spectrum():
@@ -107,32 +146,7 @@ def test_composite_orders_use_a_box_type_with_the_same_spectrum():
         if a > 1:
             assert sudoku_spectrum(a, b) == latin_spectrum(w), w
         else:
-            assert all(w % d for d in range(2, w)), w  # only primes are searched
-
-
-def test_realization_error_names_order_target_rounds_and_budget(monkeypatch):
-    monkeypatch.setattr(spectrum, "_search_second", lambda *args: None)
-    with pytest.raises(RealizationError) as exc:
-        realize_latin_pair(5, 10, 0, cache=PairCache())
-    message = str(exc.value)
-    budget = spectrum._NODE_BUDGET * 4 ** (spectrum._SEARCH_ROUNDS - 1)
-    for part in ("order-5", "in 10 cells", f"{spectrum._SEARCH_ROUNDS} rounds", f"{budget} nodes"):
-        assert part in message
-
-
-@settings(max_examples=200, deadline=None)
-@given(w=st.sampled_from([5, 7]), data=st.data(), budget=st.integers(1, 5000))
-def test_budgeted_search_finds_nothing_or_an_exact_pair(w, data, budget):
-    s = data.draw(st.sampled_from(sorted(latin_spectrum(w))))
-    a = cyclic_square(w)
-    a_flat = a.cells.ravel().tolist()
-    found = spectrum._search_second(a_flat, w, s, budget)
-    if found is None:
-        return
-    b = LatinSquare(np.array(found).reshape(w, w))
-    assert intersection_size(a, b) == s
-    # the budget only cuts the search short, so more of it finds the same square
-    assert spectrum._search_second(a_flat, w, s, budget + 5000) == found
+            assert all(w % d for d in range(2, w)), w  # only primes need seeds or holes
 
 
 def test_latin_pair_rejects_impossible_values():
