@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Container
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -239,6 +238,8 @@ def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: in
 
     def work(rep_idx: int) -> dict[int, tuple[int, int]]:
         return _sweep_one(canon[rep_idx], canon, n, witnesses)
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
         results = pool.map(work, reps) if jobs > 1 else map(work, reps)

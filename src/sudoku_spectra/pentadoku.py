@@ -24,8 +24,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -91,31 +91,26 @@ def shape_name(cells) -> str:
 Grid = tuple[tuple[int, ...], ...]
 
 
-def _relabel_first_appearance(flat: list[int]) -> list[int]:
-    mapping: dict[int, int] = {}
-    out = []
-    for v in flat:
-        if v not in mapping:
-            mapping[v] = len(mapping)
-        out.append(mapping[v])
-    return out
+@cache
+def _symmetries() -> tuple[tuple[int, ...], ...]:
+    """The 8 grid symmetries as permutations of flat cell indices: the
+    transformed grid reads ``flat[p]`` for ``p`` in the permutation."""
+    turns = [np.rot90(np.arange(SIZE * SIZE).reshape(SIZE, SIZE), k) for k in range(4)]
+    return tuple(tuple(t.ravel().tolist()) for g in turns for t in (g, g[:, ::-1]))
+
+
+def _flat_key(flat) -> str:
+    keys = []
+    for perm in _symmetries():
+        ids: dict[int, str] = {}
+        keys.append("".join([ids.setdefault(flat[i], str(len(ids))) for i in perm]))
+    return min(keys)
 
 
 def canonical_cage_key(grid) -> str:
     """Lexicographically least cage string over the 8 grid symmetries,
     cage ids renumbered in first-appearance order."""
-    g = np.asarray(grid)
-    best = None
-    for k in range(4):
-        for mirrored in (False, True):
-            t = np.rot90(g, k)
-            if mirrored:
-                t = t[:, ::-1]
-            flat = _relabel_first_appearance(t.ravel().tolist())
-            key = "".join(str(v) for v in flat)
-            if best is None or key < best:
-                best = key
-    return best
+    return _flat_key(np.asarray(grid).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -183,49 +178,49 @@ def _connected(cells: set[tuple[int, int]]) -> bool:
     return len(seen) == len(cells)
 
 
+@cache
+def _placements() -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
+    """Every in-grid placement of every pentomino orientation, as
+    ``(shape bit, cell mask, flat cells)``, bucketed by its least cell."""
+    by_cell: list[list] = [[] for _ in range(SIZE * SIZE)]
+    for bit, orients in enumerate(PENTOMINO_ORIENTATIONS.values()):
+        for cells in orients:
+            for dr in range(SIZE - max(r for r, _ in cells)):
+                for dc in range(SIZE - max(c for _, c in cells)):
+                    flat = tuple((r + dr) * SIZE + c + dc for r, c in cells)
+                    mask = sum(1 << i for i in flat)
+                    by_cell[min(flat)].append((1 << bit, mask, flat))
+    return tuple(tuple(bucket) for bucket in by_cell)
+
+
 def enumerate_tilings() -> tuple[Tiling, ...]:
     """All tilings of the grid by five distinct free pentominoes, one
-    canonical representative per symmetry class, in sorted key order."""
-    grid = [[-1] * SIZE for _ in range(SIZE)]
-    used: set[str] = set()
-    canonical: dict[str, None] = {}
+    canonical representative per symmetry class, in sorted key order.
 
-    def first_empty() -> tuple[int, int] | None:
-        for r in range(SIZE):
-            for c in range(SIZE):
-                if grid[r][c] < 0:
-                    return r, c
-        return None
+    An exact cover over bitmasks (Knuth, TAOCP Vol. 4B, 7.2.2.1): the
+    lowest uncovered cell must be the least cell of the next placement,
+    so each tiling is reached once.
+    """
+    by_cell = _placements()
+    full = (1 << SIZE * SIZE) - 1
+    # never cleared: at a leaf every cell was written on the current path
+    cages = [0] * (SIZE * SIZE)
+    canonical: set[str] = set()
 
-    def place(cage_idx: int):
-        spot = first_empty()
-        if spot is None:
-            canonical.setdefault(canonical_cage_key(grid))
+    def place(cage: int, filled: int, used: int) -> None:
+        if filled == full:
+            canonical.add(_flat_key(cages))
             return
-        r0, c0 = spot
-        for name, orients in PENTOMINO_ORIENTATIONS.items():
-            if name in used:
-                continue
-            for cells in orients:
-                # cells[0] is the row-major least cell, which must land on
-                # the first empty spot
-                dr, dc = r0 - cells[0][0], c0 - cells[0][1]
-                target = [(r + dr, c + dc) for r, c in cells]
-                if all(0 <= r < SIZE and 0 <= c < SIZE and grid[r][c] < 0 for r, c in target):
-                    for r, c in target:
-                        grid[r][c] = cage_idx
-                    used.add(name)
-                    place(cage_idx + 1)
-                    used.discard(name)
-                    for r, c in target:
-                        grid[r][c] = -1
+        for bit, mask, cells in by_cell[((filled + 1) & ~filled).bit_length() - 1]:
+            if not (used & bit or filled & mask):
+                for i in cells:
+                    cages[i] = cage
+                place(cage + 1, filled | mask, used | bit)
 
-    place(0)
-    out = []
-    for key in sorted(canonical):
-        rows = tuple(tuple(int(ch) for ch in key[i * SIZE : (i + 1) * SIZE]) for i in range(SIZE))
-        out.append(Tiling.from_grid(rows))
-    return tuple(out)
+    place(0, 0, 0)
+    return tuple(
+        Tiling.from_grid(np.array(list(key), dtype=int).reshape(SIZE, SIZE)) for key in sorted(canonical)
+    )
 
 
 def solve_cage_latin(tiling: Tiling, up_to_relabelling: bool = True) -> tuple[LatinSquare, ...]:
@@ -316,6 +311,8 @@ def classify_all(tilings: tuple[Tiling, ...] | None = None, jobs: int = 1) -> Ce
     if tilings is None:
         tilings = enumerate_tilings()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             classes = tuple(pool.map(_classify_worker, [t.grid for t in tilings]))
     else:

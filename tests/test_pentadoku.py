@@ -1,8 +1,13 @@
 """Pentomino cage tilings of the 5x5 grid and their latin squares."""
 
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from sudoku_spectra.construct import latin_spectrum
 from sudoku_spectra.core import LatinSquare, intersection_size, validate_latin
 from sudoku_spectra.enumeration import enumerate_squares
+import sudoku_spectra
 from sudoku_spectra.pentadoku import (
     CATEGORIES,
     CENSUS_CONVENTIONS,
@@ -20,8 +26,10 @@ from sudoku_spectra.pentadoku import (
     PENTOMINO_ORIENTATIONS,
     RIGID_SPECTRUM,
     Tiling,
+    _placements,
     canonical_cage_key,
     census_text,
+    classify_all,
     classify_tiling,
     enumerate_tilings,
     shape_name,
@@ -50,18 +58,59 @@ def test_twelve_free_pentominoes_and_63_orientations():
     assert total == 63
 
 
-def test_canonical_key_is_symmetry_invariant():
-    g = np.asarray(RIGID_TILING.grid)
-    keys = set()
+def _grid_symmetries(grid):
+    g = np.asarray(grid)
     for k in range(4):
-        for mirror in (False, True):
-            t = np.rot90(g, k)
-            if mirror:
-                t = t[:, ::-1]
-            keys.add(canonical_cage_key(t))
+        t = np.rot90(g, k)
+        yield t
+        yield t[:, ::-1]
+
+
+def test_canonical_key_is_symmetry_invariant():
+    keys = {canonical_cage_key(t) for t in _grid_symmetries(RIGID_TILING.grid)}
     assert keys == {RIGID_TILING.canonical_key()}
     # first-appearance labelled grids are never below their canonical form
     assert RIGID_TILING.canonical_key() <= RIGID_TILING.key()
+    # every transform of every stored representative keys back to it
+    for tiling in enumerate_tilings():
+        for t in _grid_symmetries(tiling.grid):
+            assert canonical_cage_key(t) == tiling.key()
+
+
+def test_placement_table():
+    names = list(PENTOMINO_ORIENTATIONS)
+    table = _placements()
+    assert len(table) == 25
+    seen = set()
+    for least, bucket in enumerate(table):
+        for bit, mask, cells in bucket:
+            assert len(set(cells)) == 5 and all(0 <= i < 25 for i in cells)
+            assert min(cells) == least
+            assert mask == sum(1 << i for i in cells)
+            assert bit.bit_count() == 1
+            assert shape_name([divmod(i, 5) for i in cells]) == names[bit.bit_length() - 1]
+            seen.add(frozenset(cells))
+    # shift every orientation over the whole grid and keep the in-grid ones
+    shifted = sum(
+        all(0 <= r + dr < 5 and 0 <= c + dc < 5 for r, c in cells)
+        for orients in PENTOMINO_ORIENTATIONS.values()
+        for cells in orients
+        for dr in range(-4, 5)
+        for dc in range(-4, 5)
+    )
+    assert sum(len(bucket) for bucket in table) == len(seen) == shifted == 571
+
+
+def test_import_builds_no_tables_and_loads_no_process_pool():
+    code = (
+        "import sys, sudoku_spectra.pentadoku as p; "
+        "print(p._placements.cache_info().currsize, p._symmetries.cache_info().currsize, "
+        "'concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sudoku_spectra.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "0", "False", "False"]
 
 
 def test_tiling_validation():
@@ -96,6 +145,20 @@ def test_enumeration_finds_107_classes():
         assert t.key() == t.canonical_key()
         flipped = canonical_cage_key(np.asarray(t.grid)[::-1, :])
         assert flipped == t.canonical_key()
+
+
+def test_tiling_list_and_census_csv_are_pinned(census):
+    keys = "\n".join(t.key() for t in enumerate_tilings())
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "92255190f8d3b05d8d415eb95d97372058a3a7a1c398adc7247d5d17d6fb78c6"
+    )
+    assert hashlib.sha256(census_text(census.value, "csv").encode()).hexdigest() == (
+        "bca8549dd30b1b0bee21cacc2e1f10d01b10a94f22b202e69204e4c036cacbc4"
+    )
+
+
+def test_process_pool_census_matches_serial(census):
+    assert classify_all(jobs=2) == census.value
 
 
 def test_rigid_tiling_has_unique_stored_solution():
