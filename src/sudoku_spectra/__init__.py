@@ -75,12 +75,11 @@ from .pentadoku import (
     tiling_spectrum,
     write_census,
 )
-from .seeds import DATABASE, SeedDatabase, load_seed_set, verify_seed_database
+from .seeds import DATABASE, SeedDatabase, load_seed_set
 from .spectrum import (
     CertificateError,
     PairCache,
     RealizationCertificate,
-    RealizationError,
     SpectrumError,
     realize_latin_pair,
     realize_sudoku_pair,

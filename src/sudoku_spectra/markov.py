@@ -2,12 +2,9 @@
 Jacobson-Matthews chain on latin squares, and helpers for steering a
 square toward or away from a reference.
 
-``complete_grid`` is the package's one find-one backtracker: a
-depth-first fill on an explicit stack under a node budget, in which the
-caller's ``branch`` picks the next cell and the order of its symbols.
-The samplers pass a most-constrained-first branch with random ties and
-symbol order.  Enumerating every completion is a different job and
-stays in ``enumeration``.
+Both backtracking samplers run ``_sample_grid``, a find-one fill on an
+explicit stack under a node budget.  Enumerating every completion is a
+different job and stays in ``enumeration``.
 
 The chain walks the 0/1 incidence cube f(r, c, s) of a latin square (all
 line sums 1), allowing one improper cell with a -1 entry.  From a proper
@@ -45,20 +42,22 @@ class SampleError(RuntimeError):
     """Backtracking sampler exhausted its restart budget."""
 
 
-def complete_grid(n: int, group_of: list[int] | None, branch, budget: int) -> list[int] | None:
-    """Fill an order-n grid depth-first, one cell per level, on an explicit
-    stack, so no order is limited by the interpreter's recursion depth.
+def _sample_grid(n: int, group_of: list[int], rng: np.random.Generator,
+                 effort: int) -> list[int] | None:
+    """One randomized backtracking attempt; None on budget exhaustion.
 
-    The kernel keeps the row, column and group bitmasks (``group_of[pos]``
-    in 0..n-1 names each cell's box; None for no groups).  At each level
-    ``branch(grid, depth, rows, cols, groups)`` sees the row-major grid
-    (-1 marks an empty cell) with ``depth`` cells filled and returns the
-    next cell and the symbols to try there, in order; an empty list is a
-    dead end.  Each symbol tried counts one node.  Returns the filled
-    grid, or None when the tree is exhausted or a node beyond ``budget``
-    would be tried.
+    Each cell must also differ from the others in its group
+    (``group_of[pos]`` in 0..n-1).  The fill is depth-first, one cell per
+    level, on an explicit stack, so no order is limited by the
+    interpreter's recursion depth.  Each level takes the most constrained
+    empty cell (ties broken at random) and tries its candidate symbols in
+    random order, so every square of the type has positive probability.
+    Each symbol tried counts one node; None when the tree is exhausted or
+    a node beyond ``effort * n * n`` would be tried.
     """
     total = n * n
+    budget = effort * total
+    full = (1 << n) - 1
     grid = [-1] * total
     rows = [0] * n
     cols = [0] * n
@@ -67,7 +66,31 @@ def complete_grid(n: int, group_of: list[int] | None, branch, budget: int) -> li
     untried = [None] * total  # and an iterator over its symbols not yet tried
     depth = nodes = 0
     while depth < total:
-        pos, symbols = branch(grid, depth, rows, cols, groups)
+        # a full rescan per level, ties broken at random
+        best_count = n + 1
+        ties = 0
+        for pos in range(total):
+            if grid[pos] >= 0:
+                continue
+            a = full & ~rows[pos // n] & ~cols[pos % n] & ~groups[group_of[pos]]
+            cnt = a.bit_count()
+            if cnt == 0:
+                symbols = []  # a dead end
+                break
+            if cnt < best_count:
+                best_count = cnt
+                best_pos = pos
+                best_avail = a
+                ties = 1
+            elif cnt == best_count:
+                ties += 1
+                if rng.integers(ties) == 0:
+                    best_pos = pos
+                    best_avail = a
+        else:
+            pos = best_pos
+            symbols = [s for s in range(n) if best_avail >> s & 1]
+            symbols = [symbols[i] for i in rng.permutation(len(symbols))]
         cell[depth] = pos
         todo = untried[depth] = iter(symbols)
         sym = next(todo, -1)
@@ -79,8 +102,7 @@ def complete_grid(n: int, group_of: list[int] | None, branch, budget: int) -> li
             bit = 1 << grid[pos]
             rows[pos // n] ^= bit
             cols[pos % n] ^= bit
-            if group_of is not None:
-                groups[group_of[pos]] ^= bit
+            groups[group_of[pos]] ^= bit
             grid[pos] = -1
             sym = next(untried[depth], -1)
         nodes += 1
@@ -90,58 +112,16 @@ def complete_grid(n: int, group_of: list[int] | None, branch, budget: int) -> li
         bit = 1 << sym
         rows[pos // n] |= bit
         cols[pos % n] |= bit
-        if group_of is not None:
-            groups[group_of[pos]] |= bit
+        groups[group_of[pos]] |= bit
         depth += 1
     return grid
 
 
-def _sample_grid(n: int, box_of: list[int] | None, rng: np.random.Generator,
-                 effort: int) -> list[int] | None:
-    """One randomized backtracking attempt; None on budget exhaustion.
-
-    Cells are filled most-constrained-first with random tie-breaking, and
-    candidate symbols are tried in random order, so every square of the
-    type has positive probability.
-    """
-    total = n * n
-    full = (1 << n) - 1
-
-    def most_constrained(grid, depth, rows, cols, groups):
-        # a full rescan per node, ties broken at random
-        best_pos = -1
-        best_count = n + 1
-        best_avail = 0
-        ties = 0
-        for pos in range(total):
-            if grid[pos] >= 0:
-                continue
-            a = full & ~rows[pos // n] & ~cols[pos % n]
-            if box_of is not None:
-                a &= ~groups[box_of[pos]]
-            cnt = a.bit_count()
-            if cnt == 0:
-                return pos, []
-            if cnt < best_count:
-                best_count = cnt
-                best_pos = pos
-                best_avail = a
-                ties = 1
-            elif cnt == best_count:
-                ties += 1
-                if rng.integers(ties) == 0:
-                    best_pos = pos
-                    best_avail = a
-        syms = [s for s in range(n) if best_avail >> s & 1]
-        return best_pos, [syms[i] for i in rng.permutation(len(syms))]
-
-    return complete_grid(n, box_of, most_constrained, effort * total)
-
-
 def random_latin_square(n: int, rng=None, *, effort: int = 100, restarts: int = 20) -> LatinSquare:
     rng = ensure_rng(rng)
+    rows_again = [pos // n for pos in range(n * n)]  # a redundant group: one loop shape
     for _ in range(restarts):
-        grid = _sample_grid(n, None, rng, effort)
+        grid = _sample_grid(n, rows_again, rng, effort)
         if grid is not None:
             return LatinSquare(np.array(grid, dtype=np.int64).reshape(n, n))
     raise SampleError(f"failed to sample an order-{n} latin square in {restarts} restarts")

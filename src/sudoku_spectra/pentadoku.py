@@ -118,41 +118,40 @@ class Tiling:
     """A cage partition of the 5x5 grid into five distinct pentominoes.
 
     ``grid[r][c]`` is the cage id (0..4, first-appearance order) and
-    ``shapes[i]`` the free pentomino type of cage i.
+    ``shapes[i]`` the free pentomino type of cage i, read from the grid
+    when not given.
     """
 
     grid: Grid
-    shapes: tuple[str, ...]
+    shapes: tuple[str, ...] | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid)
         if g.shape != (SIZE, SIZE):
             raise ValueError(f"cage grid must be {SIZE}x{SIZE}")
-        cages = [np.argwhere(g == i) for i in range(SIZE)]
-        if sum(len(c) for c in cages) != SIZE * SIZE:
+        cages: dict[int, set[tuple[int, int]]] = {i: set() for i in range(SIZE)}
+        for pos, v in enumerate(g.ravel().tolist()):
+            if v in cages:
+                cages[v].add(divmod(pos, SIZE))
+        if sum(len(c) for c in cages.values()) != SIZE * SIZE:
             raise ValueError("cage ids must be 0..4 covering the grid")
         names = []
-        for i, cage in enumerate(cages):
-            if len(cage) != SIZE:
-                raise ValueError(f"cage {i} has {len(cage)} cells, expected {SIZE}")
-            cells = {(int(r), int(c)) for r, c in cage}
+        for i, cells in cages.items():
+            if len(cells) != SIZE:
+                raise ValueError(f"cage {i} has {len(cells)} cells, expected {SIZE}")
             if not _connected(cells):
                 raise ValueError(f"cage {i} is not edge-connected")
             names.append(shape_name(cells))
-        if tuple(names) != self.shapes:
+        if self.shapes is None:
+            object.__setattr__(self, "shapes", tuple(names))
+        elif tuple(names) != self.shapes:
             raise ValueError(f"shapes {self.shapes} do not match cages {tuple(names)}")
         if len(set(names)) != SIZE:
             raise ValueError("cages must be pairwise distinct pentomino types")
 
     @classmethod
     def from_grid(cls, grid) -> "Tiling":
-        g = tuple(tuple(int(v) for v in row) for row in np.asarray(grid).tolist())
-        names = []
-        arr = np.asarray(g)
-        for i in range(SIZE):
-            cells = {(int(r), int(c)) for r, c in np.argwhere(arr == i)}
-            names.append(shape_name(cells))
-        return cls(g, tuple(names))
+        return cls(tuple(tuple(int(v) for v in row) for row in np.asarray(grid).tolist()))
 
     @classmethod
     def from_string(cls, text: str) -> "Tiling":

@@ -109,46 +109,3 @@ class SeedDatabase:
 
 DATABASE = SeedDatabase()
 
-
-@dataclass(frozen=True)
-class SeedCheck:
-    h: int
-    w: int
-    label: int
-    claimed: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.claimed == self.actual
-
-
-@dataclass(frozen=True)
-class SeedVerification:
-    checks: tuple[SeedCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[SeedCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
-def verify_seed_database(db: SeedDatabase = DATABASE) -> SeedVerification:
-    """Recompute every label against its reference square.
-
-    Loading already rejects a fixture that is not a Sudoku square of its
-    claimed type or whose label does not match; this recomputes every
-    intersection claim again as a report, including the reference against
-    itself (label n^2).
-    """
-    checks = []
-    for h, w in db.types():
-        seed_set = db.get(h, w)
-        ref = seed_set.reference
-        n = h * w
-        checks.append(SeedCheck(h, w, n * n, n * n, intersection_size(ref, ref)))
-        for label, square in seed_set.entries:
-            checks.append(SeedCheck(h, w, label, label, intersection_size(square, ref)))
-    return SeedVerification(tuple(checks))

@@ -30,7 +30,8 @@ squares, plus the machinery behind it.
   fixes a of the m hole symbols and b of the k outer symbols gives
   |A ∩ B| = k*a + p*b + x.
 
-Pairs go into a memo cache, optionally persisted as a JSON file.
+Each call memoizes its pairs in a ``PairCache``: the caller's, or a fresh
+one that lives as long as the call.
 """
 from __future__ import annotations
 
@@ -67,12 +68,6 @@ from .seeds import DATABASE, SeedDatabase
 
 class SpectrumError(ValueError):
     """Requested intersection value is not achievable."""
-
-
-class RealizationError(RuntimeError):
-    """No construction reaches a value inside the spectrum.  Seeds, block
-    products and holed squares cover every achievable value at every
-    order, so this indicates a bug."""
 
 
 class CertificateError(AssertionError):
@@ -181,9 +176,6 @@ class PairCache:
             return len(self._mem)
 
 
-DEFAULT_PAIR_CACHE = PairCache()
-
-
 def _box_type_for(w: int) -> tuple[int, int]:
     """(a, w // a) with a the largest divisor of w at most sqrt(w); a == 1
     exactly when w is 1 or prime."""
@@ -250,7 +242,7 @@ def realize_latin_pair(
     if s not in spectrum:
         raise SpectrumError(_spectrum_message(s, w, spectrum, f"order-{w} latin squares"))
     if cache is None:
-        cache = DEFAULT_PAIR_CACHE
+        cache = PairCache()
     hit = cache.get(w, s)
     if hit is not None:
         return hit
@@ -267,8 +259,8 @@ def realize_latin_pair(
         pair = (a.square, b.square)
     else:
         split = _holed_split(w, s)
-        if split is None:
-            raise RealizationError(
+        if split is None:  # every prime above 7 has a split or an order-11 fixture
+            raise AssertionError(
                 f"no seed or holed-square split gives a pair of order-{w} latin squares "
                 f"meeting in {s} cells; {s} is achievable at order {w}"
             )
@@ -381,6 +373,8 @@ def realize_sudoku_pair(
         method = "seed"
     else:
         assert isinstance(dec, Decomposition)
+        if cache is None:
+            cache = PairCache()  # shared by the slots of this target
         outer = cyclic_square(hh)
         members_a = []
         members_b = []

@@ -34,7 +34,7 @@ from sudoku_spectra.pentadoku import (
     RIGID_SPECTRUM,
     solve_cage_latin,
 )
-from sudoku_spectra.seeds import verify_seed_database
+from sudoku_spectra.seeds import SEED_TYPES, load_seed_set
 from sudoku_spectra.spectrum import PairCache, realize_sudoku_pair
 from tests.test_construct import PRODUCT_2x3, REORDERED_2x3
 
@@ -67,11 +67,17 @@ def test_exhaustive_sudoku_spectra_match_theory(sudoku_22_report, sudoku_23_repo
 
 
 def test_seed_fixtures_verify_exactly():
-    result = verify_seed_database()
-    assert result.ok, result.failures()
-    assert len(result.checks) == 216
-    assert all(c.claimed == c.actual for c in result.checks)
-    print(f"PASS all {len(result.checks)} stored intersection labels recomputed exactly")
+    # a fresh load recomputes every label and raises ParseError on a mismatch
+    checked = 0
+    for h, w in SEED_TYPES:
+        seed_set = load_seed_set(h, w)
+        ref = seed_set.reference
+        assert intersection_size(ref, ref) == (h * w) ** 2
+        for label, square in seed_set.entries:
+            assert intersection_size(square, ref) == label, (h, w, label)
+        checked += len(seed_set.entries) + 1
+    assert checked == 216
+    print(f"PASS all {checked} stored intersection labels recomputed exactly")
 
 
 def test_realizer_covers_every_achievable_target():

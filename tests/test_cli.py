@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from sudoku_spectra import spectrum
 from sudoku_spectra.cli import main
 from sudoku_spectra.core import BoxType
 from sudoku_spectra.formats import parse, serialize
@@ -41,7 +40,7 @@ def test_realize_writes_certificate(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     rc, out, _ = run(
         capsys, "realize", "--h", "2", "--w", "4", "--t", "40",
-        "--out", str(cert_path), "--seed", "5",
+        "--out", str(cert_path),
     )
     assert rc == 0 and out.strip() == "40"
     cert = RealizationCertificate.from_json(cert_path.read_text())
@@ -184,12 +183,12 @@ def test_sample_out_of_budget_exits_1(capsys):
     assert err.startswith("error: failed to sample a (2, 3) Sudoku square")
 
 
-def test_realize_with_no_construction_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(spectrum, "_holed_split", lambda p, s: None)
-    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "13", "--t", "0",
-                       "--cache", str(tmp_path / "cache.json"))
-    assert rc == 1 and out == ""
-    assert err.startswith("error: no seed or holed-square split gives a pair of order-13")
+def test_realize_has_no_seed_flag(capsys):
+    # every pair is built without randomness, so there is nothing to seed
+    with pytest.raises(SystemExit) as e:
+        main(["realize", "--h", "2", "--w", "3", "--t", "19", "--seed", "5"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h, w", [(2, 71), (3, 47)])

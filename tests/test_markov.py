@@ -1,5 +1,7 @@
 """Randomized samplers and the incidence-cube chain."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,17 @@ def test_seeded_outputs_are_pinned():
         [1, 3, 2, 6, 0, 5, 4],
     ]
     assert b.cells.tolist() == reference_7
+
+
+def test_every_sampler_shape_is_pinned_by_digest():
+    # one digest over Sudoku squares at eight box types, four seeds each,
+    # and latin squares of five orders: a change means the RNG draws moved
+    boxes = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (3, 4), (4, 4)]
+    squares = [sample_sudoku(h, w, seed) for h, w in boxes for seed in range(4)]
+    squares += [random_latin_square(n, 0) for n in (1, 2, 5, 8, 13)]
+    text = "\n".join(str(square.cells.tolist()) for square in squares)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5c0178f4cb6eb443f2f6aa361c3f47db6d4a7698f895e051bedff28611fddbfa")
 
 
 @settings(max_examples=60, deadline=None)

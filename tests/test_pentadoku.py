@@ -114,17 +114,18 @@ def test_import_builds_no_tables_and_loads_no_process_pool():
 
 
 def test_tiling_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be 5x5"):
         Tiling.from_string("00|11")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         # five I columns: connected, right sizes, but all the same type
         Tiling.from_string("01234|01234|01234|01234|01234")
-    with pytest.raises(ValueError):
-        # cage 0 too large
+    with pytest.raises(ValueError, match="cage 0 has 10 cells"):
         Tiling.from_string("00000|00000|11111|22222|33333")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not match"):
         # shapes tuple must match the grid
         Tiling(RIGID_TILING.grid, ("I",) * 5)
+    # without a shapes tuple, the one validation pass reads it from the grid
+    assert Tiling(RIGID_TILING.grid) == Tiling(RIGID_TILING.grid, RIGID_TILING.shapes)
 
 
 def test_from_string_round_trip():

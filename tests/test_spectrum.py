@@ -18,7 +18,6 @@ from sudoku_spectra.spectrum import (
     CertificateError,
     PairCache,
     RealizationCertificate,
-    RealizationError,
     SpectrumError,
     _box_type_for,
     realize_latin_pair,
@@ -65,9 +64,8 @@ def _forbid(monkeypatch, module, name):
 
 
 def test_no_order_is_searched(monkeypatch):
-    for name in ("complete_grid", "random_latin_square"):
+    for name in ("_sample_grid", "random_latin_square"):
         assert markov in _forbid(monkeypatch, markov, name)
-    default_size = len(spectrum.DEFAULT_PAIR_CACHE)
     for w in range(2, 14):
         cache = PairCache()
         for s in sorted(latin_spectrum(w)):
@@ -78,8 +76,20 @@ def test_no_order_is_searched(monkeypatch):
     for h, w in REALIZE_TYPES:
         for t in sorted(sudoku_spectrum(h, w)):
             assert realize_sudoku_pair(h, w, t, 0, cache=cache).verify() == t
-    # the inner pairs go to the given cache only
-    assert len(spectrum.DEFAULT_PAIR_CACHE) == default_size
+    assert _pairs_held_by_the_module() == []
+
+
+def _pairs_held_by_the_module():
+    return [name for name, value in vars(spectrum).items()
+            if isinstance(value, PairCache) and len(value)]
+
+
+def test_no_module_level_object_keeps_a_pair():
+    for s in (0, 40, 100, 165):
+        a, b = realize_latin_pair(13, s)
+        assert intersection_size(a, b) == s
+    assert realize_sudoku_pair(2, 13, 300).verify() == 300
+    assert _pairs_held_by_the_module() == []
 
 
 def test_pairs_do_not_depend_on_the_rng():
@@ -109,7 +119,9 @@ def test_holed_pair_meets_in_k_a_plus_p_b_plus_x(data):
 
 
 def test_holed_split_misses_only_the_order_11_fixture_values():
-    for p in (11, 13, 17, 37, 71):
+    # every prime inner width under the default max order 144; without a
+    # split or a fixture, realize_latin_pair raises AssertionError
+    for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71):
         missed = {s for s in latin_spectrum(p) - {p * p} if spectrum._holed_split(p, s) is None}
         assert missed == (ORDER_11_LEFTOVERS if p == 11 else set()), p
     assert DATABASE.get(1, 11).labels() == ORDER_11_LEFTOVERS | {121}
@@ -130,13 +142,6 @@ def test_every_target_at_prime_orders_11_13_37_and_a_sample_at_71_realizes():
             assert validate_latin(a.cells).ok and validate_latin(b.cells).ok
             assert intersection_size(a, b) == s, (w, s)
     print("worst ms per target:", {w: round(1000 * t, 1) for w, t in worst.items()})
-
-
-def test_an_uncovered_value_raises_realization_error(monkeypatch):
-    monkeypatch.setattr(spectrum, "_holed_split", lambda p, s: None)
-    with pytest.raises(RealizationError) as exc:
-        realize_latin_pair(13, 40, cache=PairCache())
-    assert "order-13" in str(exc.value) and "in 40 cells" in str(exc.value)
 
 
 def test_composite_orders_use_a_box_type_with_the_same_spectrum():
