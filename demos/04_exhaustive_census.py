@@ -18,7 +18,7 @@ from sudoku_spectra import (
 
 def main():
     for n in (1, 2, 3, 4):
-        report = brute_force_latin_spectrum(n, want_witnesses=False)
+        report = brute_force_latin_spectrum(n)
         match = "matches" if report.values == latin_spectrum(n) else "DIFFERS FROM"
         print(f"order {n}: {report.total_count} squares "
               f"({report.canonical_count} up to relabelling), "

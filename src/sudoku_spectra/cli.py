@@ -100,6 +100,10 @@ def cmd_spectrum(args) -> int:
         return 0
     # seeds mode: report the labels the checked-in fixtures witness (each
     # recomputed on load)
+    if (args.h, args.w) not in DATABASE.types():
+        types = ", ".join(f"({h}, {w})" for h, w in DATABASE.types())
+        raise ValueError(
+            f"no seed fixture for box type ({args.h}, {args.w}); fixtures exist for {types}")
     seed_set = DATABASE.get(args.h, args.w)
     labels = seed_set.labels()
     print(_fmt_values(labels))
@@ -119,7 +123,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_pentadoku(args) -> int:
-    report = classify_all(jobs=args.threads)
+    report = classify_all()
     if args.out:
         with open(args.out, "w") as f:
             write_census(report, f, args.format)
@@ -176,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pentadoku", help="census of 5x5 pentomino-cage tilings")
     p.add_argument("--out", help="write the census here (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_pentadoku)
 
     return parser

@@ -106,17 +106,17 @@ def _line_permutations(total: int, block: int) -> list[tuple[int, ...]]:
     return perms
 
 
-def position_group(n: int, box_type: BoxType | None, include_transpose: bool = True) -> np.ndarray:
+def position_group(n: int, box_type: BoxType | None) -> np.ndarray:
     """Cell-position permutations preserving the enumerated family, as a
     (G, n*n) gather table: transformed_flat = flat[P[g]]."""
     if box_type is None:
         row_perms = list(itertools.permutations(range(n)))
         col_perms = row_perms
-        transpose_ok = include_transpose
+        transpose_ok = True
     else:
         row_perms = _line_permutations(n, box_type.h)
         col_perms = _line_permutations(n, box_type.w)
-        transpose_ok = include_transpose and box_type.h == box_type.w
+        transpose_ok = box_type.h == box_type.w
     cells = []
     for rho in row_perms:
         rho = np.asarray(rho, dtype=np.int32)
@@ -195,8 +195,7 @@ class SpectrumReport:
     orbit_count: int | None = None
 
 
-def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: int,
-                      want_witnesses: bool) -> SpectrumReport:
+def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: int) -> SpectrumReport:
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
     canon = enumerate_squares(n, box_type, first_row_fixed=True)
@@ -220,8 +219,7 @@ def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: in
                     j = int(np.argwhere(agree == v)[0][0])
                     values.add(v)
                     witnesses[v] = (to_rows(all_sq[i]), to_rows(all_sq[j]))
-        return SpectrumReport(n, box_type, len(canon), total, frozenset(values),
-                              witnesses if want_witnesses else {}, reduction)
+        return SpectrumReport(n, box_type, len(canon), total, frozenset(values), witnesses, reduction)
 
     if reduction == "symbol":
         reps = list(range(len(canon)))
@@ -248,8 +246,8 @@ def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: in
                 if v not in witnesses:
                     b_flat = perms[p][canon[k]].astype(np.uint8)
                     witnesses[v] = (to_rows(canon[rep_idx]), to_rows(b_flat))
-    return SpectrumReport(n, box_type, len(canon), total, frozenset(witnesses),
-                          witnesses if want_witnesses else {}, reduction, orbit_count)
+    return SpectrumReport(n, box_type, len(canon), total, frozenset(witnesses), witnesses,
+                          reduction, orbit_count)
 
 
 def _verify_witnesses(report: SpectrumReport) -> None:
@@ -264,26 +262,23 @@ def _verify_witnesses(report: SpectrumReport) -> None:
             raise AssertionError(f"witness pair for value {v} actually meets in {actual} cells")
 
 
-def brute_force_latin_spectrum(n: int, *, reduction: str = "orbit", jobs: int = 1,
-                               want_witnesses: bool = True) -> SpectrumReport:
-    """Exact I(n) by enumeration, for n <= 5."""
+def brute_force_latin_spectrum(n: int, *, reduction: str = "orbit", jobs: int = 1) -> SpectrumReport:
+    """Exact I(n) by enumeration, for n <= 5, with re-verified witnesses."""
     if not 1 <= n <= MAX_LATIN_ORDER:
         raise ValueError(f"latin enumeration supports 1 <= n <= {MAX_LATIN_ORDER}, got {n}")
-    report = _compute_spectrum(n, None, reduction, jobs, want_witnesses)
-    if want_witnesses:
-        _verify_witnesses(report)
+    report = _compute_spectrum(n, None, reduction, jobs)
+    _verify_witnesses(report)
     return report
 
 
-def brute_force_spectrum(h: int, w: int, *, reduction: str = "orbit", jobs: int = 1,
-                         want_witnesses: bool = True) -> SpectrumReport:
-    """Exact I(h, w) by enumeration, for h*w <= 6."""
-    box = BoxType(h, w)
-    if box.n > MAX_SUDOKU_ORDER:
+def brute_force_spectrum(h: int, w: int, *, reduction: str = "orbit", jobs: int = 1) -> SpectrumReport:
+    """Exact I(h, w) by enumeration, for h, w >= 2 and h*w <= 6, with
+    re-verified witnesses."""
+    if h < 2 or w < 2 or h * w > MAX_SUDOKU_ORDER:
         raise ValueError(
-            f"Sudoku enumeration supports h*w <= {MAX_SUDOKU_ORDER}, got {h}*{w} = {box.n}"
+            f"Sudoku enumeration supports h, w >= 2 and h*w <= {MAX_SUDOKU_ORDER}, got {(h, w)}"
         )
-    report = _compute_spectrum(box.n, box, reduction, jobs, want_witnesses)
-    if want_witnesses:
-        _verify_witnesses(report)
+    box = BoxType(h, w)
+    report = _compute_spectrum(box.n, box, reduction, jobs)
+    _verify_witnesses(report)
     return report

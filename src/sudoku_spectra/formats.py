@@ -84,10 +84,11 @@ def parse_json(text: str) -> SudokuSquare:
         raise ParseError("json", f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or not {"h", "w", "rows"} <= set(obj):
         raise ParseError("json", 'expected an object with keys "h", "w", "rows"')
-    try:
-        box = BoxType(int(obj["h"]), int(obj["w"]))
-    except (TypeError, ValueError):
-        raise ParseError("json", '"h" and "w" must be positive integers') from None
+    h, w = obj["h"], obj["w"]
+    # bool is an int subclass, but JSON true/false is not a number
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (h, w)):
+        raise ParseError("json", '"h" and "w" must be positive integers')
+    box = BoxType(h, w)
     rows = obj["rows"]
     if not isinstance(rows, list):
         raise ParseError("json", '"rows" must be a list of rows')

@@ -2,9 +2,10 @@
 Jacobson-Matthews chain on latin squares, and helpers for steering a
 square toward or away from a reference.
 
-Both backtracking samplers run ``_sample_grid``, a find-one fill on an
-explicit stack under a node budget.  Enumerating every completion is a
-different job and stays in ``enumeration``.
+The backtracking sampler ``sample_sudoku`` runs ``_sample_grid``, a
+find-one fill on an explicit stack under a node budget; a random latin
+square is a Sudoku square of box type (1, n).  Enumerating every
+completion is a different job and stays in ``enumeration``.
 
 The chain walks the 0/1 incidence cube f(r, c, s) of a latin square (all
 line sums 1), allowing one improper cell with a -1 entry.  From a proper
@@ -117,16 +118,6 @@ def _sample_grid(n: int, group_of: list[int], rng: np.random.Generator,
     return grid
 
 
-def random_latin_square(n: int, rng=None, *, effort: int = 100, restarts: int = 20) -> LatinSquare:
-    rng = ensure_rng(rng)
-    rows_again = [pos // n for pos in range(n * n)]  # a redundant group: one loop shape
-    for _ in range(restarts):
-        grid = _sample_grid(n, rows_again, rng, effort)
-        if grid is not None:
-            return LatinSquare(np.array(grid, dtype=np.int64).reshape(n, n))
-    raise SampleError(f"failed to sample an order-{n} latin square in {restarts} restarts")
-
-
 def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 100, restarts: int = 20) -> SudokuSquare:
     """A random Sudoku square of box type (h, w), deterministic in rng."""
     box = BoxType(h, w)
@@ -138,6 +129,12 @@ def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 100, restarts: int 
         if grid is not None:
             return SudokuSquare(np.array(grid, dtype=np.int64).reshape(n, n), box)
     raise SampleError(f"failed to sample a ({h}, {w}) Sudoku square in {restarts} restarts")
+
+
+def random_latin_square(n: int, rng=None, *, effort: int = 100, restarts: int = 20) -> LatinSquare:
+    """A random order-n latin square: box type (1, n), whose boxes are the
+    rows, so no constraint is added."""
+    return sample_sudoku(1, n, rng, effort=effort, restarts=restarts).square
 
 
 @dataclass(frozen=True)
@@ -219,14 +216,17 @@ def jm_step(state: ChainState, rng=None) -> ChainState:
     return ChainState(f, negative)
 
 
-def resolve_proper(state: ChainState, rng=None, max_steps: int = 10_000) -> ChainState:
+RESOLVE_STEPS = 10_000
+
+
+def resolve_proper(state: ChainState, rng=None) -> ChainState:
     """Step until the state is proper again (almost surely fast)."""
     rng = ensure_rng(rng)
-    for _ in range(max_steps):
+    for _ in range(RESOLVE_STEPS):
         if state.proper:
             return state
         state = jm_step(state, rng)
-    raise RuntimeError(f"chain failed to return to a proper state in {max_steps} steps")
+    raise RuntimeError(f"chain failed to return to a proper state in {RESOLVE_STEPS} steps")
 
 
 def sample_latin_chain(n: int, rng=None, *, steps: int | None = None) -> LatinSquare:
@@ -242,18 +242,20 @@ def sample_latin_chain(n: int, rng=None, *, steps: int | None = None) -> LatinSq
     return resolve_proper(state, rng).grid()
 
 
-def drift_near(square: SudokuSquare, rng=None, *, steps: int = 5,
-               attempts: int = 40) -> SudokuSquare:
+DRIFT_ATTEMPTS = 40
+
+
+def drift_near(square: SudokuSquare, rng=None, *, steps: int = 5) -> SudokuSquare:
     """A Sudoku square near the input: chain excursions resolved to
     proper squares, rejecting any that break a box.  Each step retries
-    rejected proposals up to ``attempts`` times, so ``steps`` counts
+    rejected proposals up to ``DRIFT_ATTEMPTS`` times, so ``steps`` counts
     accepted moves in practice; few steps keep the intersection with the
     input large."""
     rng = ensure_rng(rng)
     box = square.box_type
     state = ChainState.from_square(square.square)
     for _ in range(steps):
-        for _ in range(attempts):
+        for _ in range(DRIFT_ATTEMPTS):
             proposal = resolve_proper(jm_step(state, rng), rng)
             if validate_sudoku(proposal.grid(), box).ok:
                 state = proposal

@@ -139,8 +139,6 @@ class Tiling:
         for i, cells in cages.items():
             if len(cells) != SIZE:
                 raise ValueError(f"cage {i} has {len(cells)} cells, expected {SIZE}")
-            if not _connected(cells):
-                raise ValueError(f"cage {i} is not edge-connected")
             names.append(shape_name(cells))
         if self.shapes is None:
             object.__setattr__(self, "shapes", tuple(names))
@@ -163,18 +161,6 @@ class Tiling:
 
     def canonical_key(self) -> str:
         return canonical_cage_key(self.grid)
-
-
-def _connected(cells: set[tuple[int, int]]) -> bool:
-    stack = [next(iter(cells))]
-    seen = {stack[0]}
-    while stack:
-        r, c = stack.pop()
-        for nr, nc in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            if (nr, nc) in cells and (nr, nc) not in seen:
-                seen.add((nr, nc))
-                stack.append((nr, nc))
-    return len(seen) == len(cells)
 
 
 @cache
@@ -288,10 +274,6 @@ def classify_tiling(tiling: Tiling) -> TilingClass:
     return TilingClass(tiling, len(solutions), spectrum, category)
 
 
-def _classify_worker(grid: Grid) -> TilingClass:
-    return classify_tiling(Tiling.from_grid(grid))
-
-
 @dataclass(frozen=True)
 class CensusReport:
     classes: tuple[TilingClass, ...]
@@ -306,17 +288,10 @@ class CensusReport:
         return tuple(c for c in self.classes if c.category == category)
 
 
-def classify_all(tilings: tuple[Tiling, ...] | None = None, jobs: int = 1) -> CensusReport:
+def classify_all(tilings: tuple[Tiling, ...] | None = None) -> CensusReport:
     if tilings is None:
         tilings = enumerate_tilings()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            classes = tuple(pool.map(_classify_worker, [t.grid for t in tilings]))
-    else:
-        classes = tuple(classify_tiling(t) for t in tilings)
-    return CensusReport(classes)
+    return CensusReport(tuple(classify_tiling(t) for t in tilings))
 
 
 CENSUS_CONVENTIONS = {

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sudoku_spectra import enumeration
 from sudoku_spectra.cli import main
 from sudoku_spectra.core import BoxType
 from sudoku_spectra.formats import parse, serialize
@@ -142,10 +143,15 @@ def test_spectrum_brute_mode(capsys):
     assert "288 squares" in err
 
 
-def test_spectrum_brute_mode_bounds(capsys):
-    rc, _, err = run(capsys, "spectrum", "--h", "3", "--w", "3", "--mode", "brute")
-    assert rc == 1
-    assert "error" in err
+def test_spectrum_brute_mode_bounds(capsys, monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("bounds must be checked before enumerating")
+
+    monkeypatch.setattr(enumeration, "enumerate_squares", enumerate_nothing)
+    for h, w in [("3", "3"), ("1", "6"), ("6", "1")]:
+        rc, _, err = run(capsys, "spectrum", "--h", h, "--w", w, "--mode", "brute")
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_spectrum_seeds_mode(capsys):
@@ -160,6 +166,11 @@ def test_spectrum_seeds_mode(capsys):
     rc, out, err = run(capsys, "spectrum", "--h", "1", "--w", "11", "--mode", "seeds")
     assert rc == 0 and "a subset" in err
     assert out.split() == "5 82 98 101 102 104 110 112 115 121".split()
+    for h, w in [("5", "5"), ("4", "2")]:
+        rc, out, err = run(capsys, "spectrum", "--h", h, "--w", w, "--mode", "seeds")
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: no seed fixture for box type ({h}, {w})")
+        assert "(3, 3)" in err and "(1, 11)" in err
 
 
 def test_sample_is_deterministic_and_parseable(capsys):
@@ -183,12 +194,17 @@ def test_sample_out_of_budget_exits_1(capsys):
     assert err.startswith("error: failed to sample a (2, 3) Sudoku square")
 
 
-def test_realize_has_no_seed_flag(capsys):
+@pytest.mark.parametrize("argv", [
     # every pair is built without randomness, so there is nothing to seed
+    ["realize", "--h", "2", "--w", "3", "--t", "19", "--seed", "5"],
+    # the census runs serially
+    ["pentadoku", "--threads", "2"],
+], ids=["realize-seed", "pentadoku-threads"])
+def test_realize_has_no_seed_flag(capsys, argv):
     with pytest.raises(SystemExit) as e:
-        main(["realize", "--h", "2", "--w", "3", "--t", "19", "--seed", "5"])
+        main(argv)
     assert e.value.code == 2
-    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h, w", [(2, 71), (3, 47)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sudoku_spectra import enumeration
 from sudoku_spectra.core import (
     BoxType,
     LatinSquare,
@@ -27,7 +28,7 @@ LATIN_COUNTS = {1: (1, 1), 2: (1, 2), 3: (2, 12), 4: (24, 576), 5: (1344, 161280
 
 def test_latin_square_counts():
     for n, (canonical, total) in LATIN_COUNTS.items():
-        rep = brute_force_latin_spectrum(n, want_witnesses=False)
+        rep = brute_force_latin_spectrum(n)
         assert rep.canonical_count == canonical
         assert rep.total_count == total
 
@@ -50,7 +51,7 @@ def test_sudoku_enumeration_respects_boxes():
 
 
 def test_sudoku_counts():
-    rep22 = brute_force_spectrum(2, 2, want_witnesses=False)
+    rep22 = brute_force_spectrum(2, 2)
     assert (rep22.canonical_count, rep22.total_count) == (12, 288)
     assert rep22.orbit_count == 2
 
@@ -126,11 +127,18 @@ def test_witnesses_round_trip():
     assert len(a) == len(b) == 4
 
 
-def test_bounds_are_enforced():
+def test_bounds_are_enforced(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("bounds must be checked before enumerating")
+
+    monkeypatch.setattr(enumeration, "enumerate_squares", enumerate_nothing)
     with pytest.raises(ValueError):
         brute_force_latin_spectrum(MAX_LATIN_ORDER + 1)
     with pytest.raises(ValueError):
         brute_force_spectrum(2, 4)  # order 8 > 6
+    for h, w in [(1, 6), (6, 1)]:  # order 6 fits, but latin order 6 is past its limit
+        with pytest.raises(ValueError, match="h, w >= 2"):
+            brute_force_spectrum(h, w)
     with pytest.raises(ValueError):
         brute_force_latin_spectrum(3, reduction="magic")
     assert MAX_SUDOKU_ORDER == 6

@@ -70,7 +70,12 @@ def test_grid_error_kinds():
 
 def test_json_error_kinds():
     for text in ["{not json", '{"h": 2}', '{"h": 2, "w": 0, "rows": []}',
-                 '{"h": 2, "w": 2, "rows": 3}']:
+                 '{"h": 2, "w": 2, "rows": 3}',
+                 # JSON integers only: no floats, strings or booleans
+                 '{"h": 2.9, "w": "1", "rows": [[0, 1], [1, 0]]}',
+                 '{"h": 2.0, "w": 1, "rows": [[0, 1], [1, 0]]}',
+                 '{"h": 2, "w": "1", "rows": [[0, 1], [1, 0]]}',
+                 '{"h": true, "w": 2, "rows": [[0, 1], [1, 0]]}']:
         with pytest.raises(ParseError) as e:
             parse_json(text)
         assert e.value.kind == "json"

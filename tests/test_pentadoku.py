@@ -29,7 +29,6 @@ from sudoku_spectra.pentadoku import (
     _placements,
     canonical_cage_key,
     census_text,
-    classify_all,
     classify_tiling,
     enumerate_tilings,
     shape_name,
@@ -121,6 +120,9 @@ def test_tiling_validation():
         Tiling.from_string("01234|01234|01234|01234|01234")
     with pytest.raises(ValueError, match="cage 0 has 10 cells"):
         Tiling.from_string("00000|00000|11111|22222|33333")
+    with pytest.raises(ValueError, match="do not form a pentomino"):
+        # cage 0 has five cells, but (1, 4) touches none of the other four
+        Tiling.from_string("00001|11110|22222|33333|44444")
     with pytest.raises(ValueError, match="do not match"):
         # shapes tuple must match the grid
         Tiling(RIGID_TILING.grid, ("I",) * 5)
@@ -156,10 +158,6 @@ def test_tiling_list_and_census_csv_are_pinned(census):
     assert hashlib.sha256(census_text(census.value, "csv").encode()).hexdigest() == (
         "bca8549dd30b1b0bee21cacc2e1f10d01b10a94f22b202e69204e4c036cacbc4"
     )
-
-
-def test_process_pool_census_matches_serial(census):
-    assert classify_all(jobs=2) == census.value
 
 
 def test_rigid_tiling_has_unique_stored_solution():
