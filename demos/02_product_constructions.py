@@ -10,7 +10,6 @@ Run: python3 demos/02_product_constructions.py
 import numpy as np
 
 from sudoku_spectra import (
-    SquareFamily,
     cyclic_square,
     intersection_size,
     kronecker,
@@ -39,10 +38,10 @@ def main():
 
     # block product: same outer square, per-slot inner pairs
     outer = cyclic_square(2)
-    fam_a = SquareFamily([[random_latin_square(4, rng) for _ in range(2)] for _ in range(2)])
-    fam_b = SquareFamily([[random_latin_square(4, rng) for _ in range(2)] for _ in range(2)])
+    fam_a = [[random_latin_square(4, rng) for _ in range(2)] for _ in range(2)]
+    fam_b = [[random_latin_square(4, rng) for _ in range(2)] for _ in range(2)]
     parts = [
-        intersection_size(fam_a.members[i][k], fam_b.members[i][k])
+        intersection_size(fam_a[i][k], fam_b[i][k])
         for i in range(2)
         for k in range(2)
     ]

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .construct import (
     Decomposition,
     SeedRequired,
-    SquareFamily,
     decompose_target,
     forbidden_values,
     kronecker,

@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="theorem",
         help="closed form, exhaustive enumeration, or seed-fixture witnesses",
     )
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads sharing the --mode brute sweep over orbit representatives")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sample", help="print a random Sudoku square")

@@ -4,9 +4,9 @@ The two products both build an order n*m square from order-n and order-m
 ingredients, with rows and columns indexed by pairs (i, j) -> i*m + j:
 
 * ``kronecker(l, m)``: entry ((i1, j1), (i2, j2)) = l(i1, i2)*m + m(j1, j2).
-* ``triangle_product(l, fam)``: like kronecker, but the inner square may
-  depend on the row bundle i1 and on the symbol k = l(i1, i2); the family
-  member ``fam[i1][k]`` fills that block, offset by k*m.
+* ``triangle_product(l, members)``: like kronecker, but the inner square
+  may depend on the row bundle i1 and on the symbol k = l(i1, i2); the
+  family member ``members[i1][k]`` fills that block, offset by k*m.
 
 ``sudoku_reorder`` permutes the rows of such a product so that the result
 is a Sudoku square of box type (n, m).
@@ -33,76 +33,44 @@ from .core import BoxType, LatinSquare, MalformedInputError, SudokuSquare
 
 def kronecker(l: LatinSquare, m: LatinSquare) -> LatinSquare:
     """Kronecker-style product of latin squares, order l.order * m.order."""
-    return triangle_product(l, SquareFamily.constant(l.order, m))
+    return triangle_product(l, [[m] * l.order] * l.order)
 
 
-class SquareFamily:
-    """An n-by-n array of order-m latin squares for the block product.
+def triangle_product(l: LatinSquare, members: Sequence[Sequence[LatinSquare]]) -> LatinSquare:
+    """Block product of an order-n outer square with an n-by-n family of
+    order-m latin squares.
 
-    ``members[i][k]`` is used for row bundle i and symbol k of the outer
-    square.  Members are stored over symbols 0..m-1; the product applies
-    the +k*m offset itself.
+    ``members[i][k]`` fills the blocks of row bundle i where the outer
+    square has symbol k, over symbols k*m..k*m+m-1.  The result is checked
+    once, as a latin square.
     """
-
-    __slots__ = ("n", "m", "members")
-
-    def __init__(self, members: Sequence[Sequence[LatinSquare]]):
-        rows = tuple(tuple(row) for row in members)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise MalformedInputError("family must be a nonempty n-by-n array of squares")
-        m = rows[0][0].order
-        for row in rows:
-            for sq in row:
-                if not isinstance(sq, LatinSquare):
-                    raise MalformedInputError("family members must be LatinSquare")
-                if sq.order != m:
-                    raise MalformedInputError(
-                        f"family members must share one order, got {sq.order} and {m}"
-                    )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "members", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SquareFamily is immutable")
-
-    @classmethod
-    def constant(cls, n: int, square: LatinSquare) -> "SquareFamily":
-        return cls([[square] * n for _ in range(n)])
-
-    def __getitem__(self, i: int) -> tuple[LatinSquare, ...]:
-        return self.members[i]
-
-
-def triangle_product(l: LatinSquare, fam: SquareFamily) -> LatinSquare:
-    """Block product of an outer square with a family of inner squares."""
-    if fam.n != l.order:
-        raise MalformedInputError(f"family is {fam.n}x{fam.n}, outer square order {l.order}")
-    n, m = l.order, fam.m
-    members = np.array([[sq.cells for sq in row] for row in fam.members])  # (n, n, m, m)
+    n = l.order
+    if len(members) != n or any(len(row) != n for row in members):
+        raise MalformedInputError(f"family must be {n}-by-{n}, the order of the outer square")
+    orders = {sq.order if isinstance(sq, LatinSquare) else None for row in members for sq in row}
+    if len(orders) != 1 or None in orders:
+        raise MalformedInputError(f"family members must be LatinSquares of one order, got {orders}")
+    (m,) = orders
+    cells = np.array([[sq.cells for sq in row] for row in members])  # (n, n, m, m)
     k = l.cells
     # block (i1, i2) is member (i1, k) shifted by k*m, with k = l[i1, i2]
-    blocks = members[np.arange(n)[:, None], k] + (k * m)[:, :, None, None]
+    blocks = cells[np.arange(n)[:, None], k] + (k * m)[:, :, None, None]
     return LatinSquare(blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m))
 
 
 def reorder_permutation(n: int, m: int) -> np.ndarray:
     """Row permutation sending product row i*m + j to position j*n + i."""
-    perm = np.empty(n * m, dtype=np.int64)
-    for j in range(m):
-        for i in range(n):
-            perm[j * n + i] = i * m + j
-    return perm
+    return np.arange(n * m).reshape(n, m).T.ravel()
 
 
 def sudoku_reorder(s: LatinSquare, n: int, m: int) -> SudokuSquare:
     """Reorder the rows of an order n*m product square into a Sudoku square
-    of box type (n, m)."""
+    of box type (n, m).  A row permutation keeps the square latin, so only
+    its boxes are checked."""
     if s.order != n * m:
         raise MalformedInputError(f"square order {s.order} is not {n}*{m}")
-    perm = reorder_permutation(n, m)
-    return SudokuSquare(s.cells[perm], BoxType(n, m))
+    rows = s.cells[reorder_permutation(n, m)]
+    return SudokuSquare(LatinSquare._from_checked(rows), BoxType(n, m))
 
 
 @cache

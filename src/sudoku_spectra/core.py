@@ -206,7 +206,11 @@ class LatinSquare:
 
     @classmethod
     def _from_checked(cls, grid: np.ndarray) -> "LatinSquare":
-        """Wrap an ``as_grid`` array that has just passed a latin check."""
+        """Wrap an int64 grid known to be latin without checking it again:
+        an ``as_grid`` array that has just passed a latin check, or a row
+        permutation or transpose of a LatinSquare's cells.  The grid is made
+        read-only."""
+        grid.flags.writeable = False
         square = object.__new__(cls)
         square._set_cells(grid)
         return square
@@ -280,7 +284,12 @@ class SudokuSquare:
         return self.square.rows()
 
     def transposed(self) -> "SudokuSquare":
-        return SudokuSquare(self.cells.T, self.box_type.transposed())
+        """The transpose, of the transposed box type.  Transposing keeps
+        rows, columns and boxes whole, so nothing is checked again."""
+        square = object.__new__(SudokuSquare)
+        object.__setattr__(square, "square", LatinSquare._from_checked(self.cells.T))
+        object.__setattr__(square, "box_type", self.box_type.transposed())
+        return square
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SudokuSquare):

@@ -1,10 +1,9 @@
 """Checked-in seed squares witnessing hard-to-construct intersection values.
 
-One fixture file per box type under ``data/``.  Entries are labelled with
-their intersection size against a reference square: files in single-line
-notation use the last entry as the reference (it is the square compared
-with itself, so its label is n^2); files in grid notation label the
-reference ``L``.
+One fixture file per box type under ``data/``, one square per line in
+single-line notation.  Entries are labelled with their intersection size
+against a reference square, the last entry (it is the square compared
+with itself, so its label is n^2).
 
 These seeds serve three roles: they witness complete spectra at the
 small box types (2,2), (2,3), (3,3); they supply the three exceptional
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import BoxType, SudokuSquare, intersection_size
-from .formats import ParseError, parse_grid, parse_single_line
+from .formats import ParseError, parse_single_line
 
 SEED_TYPES = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4),
               (1, 2), (1, 3), (1, 5), (1, 7), (1, 11))
@@ -49,39 +48,21 @@ class SeedSet:
 
 
 def _parse_fixture(text: str, box_type: BoxType) -> SeedSet:
-    n = box_type.n
-    raw: list[tuple[str, SudokuSquare]] = []
-    lines = [ln for ln in (raw_ln.strip() for raw_ln in text.splitlines()) if ln]
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("#"):
-            i += 1
-            continue
-        label, _, rest = line.partition(":")
-        rest = rest.strip()
-        if rest:
-            raw.append((label.strip(), parse_single_line(rest, box_type)))
-            i += 1
-        else:
-            grid_text = "\n".join(lines[i + 1 : i + 1 + n])
-            raw.append((label.strip(), parse_grid(grid_text, box_type)))
-            i += 1 + n
-    named = {label: sq for label, sq in raw}
-    if "L" in named:
-        reference = named["L"]
-        entries = tuple((int(label), sq) for label, sq in raw if label != "L")
-    else:
-        reference = raw[-1][1]
-        entries = tuple((int(label), sq) for label, sq in raw[:-1])
-    for label, square in entries:
+    raw = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            label, _, rest = line.partition(":")
+            raw.append((int(label), parse_single_line(rest, box_type)))
+    reference = raw[-1][1]
+    for label, square in raw:  # the reference meets itself in n^2 cells
         actual = intersection_size(square, reference)
         if actual != label:
             raise ParseError(
                 "label", f"seed labelled {label} for box type {box_type} meets its reference "
                 f"in {actual} cells"
             )
-    return SeedSet(box_type, entries, reference)
+    return SeedSet(box_type, tuple(raw[:-1]), reference)
 
 
 def load_seed_set(h: int, w: int) -> SeedSet:

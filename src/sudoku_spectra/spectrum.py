@@ -1,10 +1,11 @@
 """Realize any achievable intersection value with an explicit pair of
 squares, plus the machinery behind it.
 
-``realize_sudoku_pair(h, w, t)`` dispatches by box type:
+``realize_sudoku_pair(h, w, t)`` builds a pair of box type (h, w) with
+h <= w and transposes it when h > w:
 
-* (2,2), (2,3), (3,3) and their transposes come straight from the seed
-  fixtures, which witness those complete spectra;
+* (2,2), (2,3), (3,3) come straight from the seed fixtures, which witness
+  those complete spectra;
 * at box width 4, the three targets n^2-6, n^2-9, n^2-11 have no product
   decomposition and also come from seeds;
 * everything else splits t into h*h order-w latin targets
@@ -45,19 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import (
-    Decomposition,
     SeedRequired,
     decompose_target,
     forbidden_values,
     latin_spectrum,
     sudoku_spectrum,
-    SquareFamily,
     sudoku_reorder,
     triangle_product,
 )
 from .core import (
     BoxType,
     LatinSquare,
+    MalformedInputError,
     SudokuSquare,
     cyclic_square,
     intersection_size,
@@ -322,13 +322,16 @@ class RealizationCertificate:
             # bool is an int subclass, but JSON true/false is not a number
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ParseError("certificate", f"certificate field {key!r} must be {name}")
+        if obj["h"] < 2 or obj["w"] < 2:
+            raise ParseError("certificate", "certificate fields 'h' and 'w' must be at least 2")
+        if obj["method"] not in ("seed", "product"):
+            raise ParseError("certificate", "certificate field 'method' must be seed or product")
         box = BoxType(obj["h"], obj["w"])
-        cert = cls(
-            SudokuSquare(obj["a"], box),
-            SudokuSquare(obj["b"], box),
-            obj["target"],
-            obj["method"],
-        )
+        try:
+            a, b = SudokuSquare(obj["a"], box), SudokuSquare(obj["b"], box)
+        except MalformedInputError as exc:  # not an order h*w grid of symbols
+            raise ParseError("certificate", f"certificate grid: {exc}") from None
+        cert = cls(a, b, obj["target"], obj["method"])
         cert.verify()
         return cert
 
@@ -354,46 +357,21 @@ def realize_sudoku_pair(
     if t not in spectrum:
         raise SpectrumError(_spectrum_message(t, n, spectrum, f"box type ({h}, {w})"))
 
-    if (h, w) in SEED_ONLY_TYPES or (w, h) in SEED_ONLY_TYPES:
-        if (h, w) in SEED_ONLY_TYPES:
-            a, b = seed_db.get(h, w).pair_for(t)
-        else:
-            a, b = seed_db.get(w, h).pair_for(t)
-            a, b = a.transposed(), b.transposed()
-        cert = RealizationCertificate(a, b, t, "seed")
-        cert.verify()
-        return cert
-
-    hh, ww = (h, w) if w >= h else (w, h)
-    flip = (hh, ww) != (h, w)
-
-    dec = decompose_target(t, hh, ww)
-    if isinstance(dec, SeedRequired):
-        a, b = seed_db.get(hh, 4).pair_for(t)
+    hh, ww = min(h, w), max(h, w)
+    dec = None if (hh, ww) in SEED_ONLY_TYPES else decompose_target(t, hh, ww)
+    if dec is None or isinstance(dec, SeedRequired):
+        a, b = seed_db.get(hh, ww).pair_for(t)
         method = "seed"
     else:
-        assert isinstance(dec, Decomposition)
         if cache is None:
             cache = PairCache()  # shared by the slots of this target
-        outer = cyclic_square(hh)
-        members_a = []
-        members_b = []
-        for i in range(hh):
-            row_a = []
-            row_b = []
-            for k in range(hh):
-                part = dec.parts[i * hh + k]
-                pa, pb = realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db)
-                row_a.append(pa)
-                row_b.append(pb)
-            members_a.append(row_a)
-            members_b.append(row_b)
-        fam_a = SquareFamily(members_a)
-        fam_b = SquareFamily(members_b)
-        a = sudoku_reorder(triangle_product(outer, fam_a), hh, ww)
-        b = sudoku_reorder(triangle_product(outer, fam_b), hh, ww)
+        pairs = [realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db)
+                 for part in dec.parts]  # row-major: part i*hh + k fills slot (i, k)
+        outer, bundles = cyclic_square(hh), range(0, hh * hh, hh)
+        a, b = (sudoku_reorder(triangle_product(outer, [side[i:i + hh] for i in bundles]), hh, ww)
+                for side in zip(*pairs))
         method = "product"
-    if flip:
+    if (hh, ww) != (h, w):
         a, b = a.transposed(), b.transposed()
     cert = RealizationCertificate(a, b, t, method)
     cert.verify()

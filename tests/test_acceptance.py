@@ -16,7 +16,6 @@ from sudoku_spectra.construct import (
     sudoku_reorder,
     sudoku_spectrum,
     triangle_product,
-    SquareFamily,
 )
 from sudoku_spectra.core import (
     BoxType,
@@ -107,9 +106,7 @@ def test_block_product_validity_and_additivity():
     rng = np.random.default_rng(77)
 
     def family(n, m):
-        return SquareFamily(
-            [[random_latin_square(m, rng) for _ in range(n)] for _ in range(n)]
-        )
+        return [[random_latin_square(m, rng) for _ in range(n)] for _ in range(n)]
 
     t0 = time.perf_counter()
     for _ in range(1000):
@@ -125,7 +122,7 @@ def test_block_product_validity_and_additivity():
         outer = random_latin_square(n, rng)
         fa, fb = family(n, m), family(n, m)
         expect = sum(
-            intersection_size(fa.members[i][k], fb.members[i][k])
+            intersection_size(fa[i][k], fb[i][k])
             for i in range(n)
             for k in range(n)
         )

@@ -8,7 +8,6 @@ from sudoku_spectra.construct import (
     ORDER4_SPLITS,
     Decomposition,
     SeedRequired,
-    SquareFamily,
     decompose_target,
     forbidden_values,
     kronecker,
@@ -90,14 +89,11 @@ def test_constant_family_reduces_to_kronecker():
     for _ in range(10):
         n, m = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         l, inner = random_latin_square(n, rng), random_latin_square(m, rng)
-        fam = SquareFamily.constant(n, inner)
-        assert triangle_product(l, fam) == kronecker(l, inner)
+        assert triangle_product(l, [[inner] * n for _ in range(n)]) == kronecker(l, inner)
 
 
 def _random_family(n, m, rng):
-    return SquareFamily(
-        [[random_latin_square(m, rng) for _ in range(n)] for _ in range(n)]
-    )
+    return [[random_latin_square(m, rng) for _ in range(n)] for _ in range(n)]
 
 
 def test_triangle_product_is_latin_and_reorders_to_sudoku():
@@ -120,7 +116,7 @@ def test_triangle_intersection_adds_over_slots():
         fam_a, fam_b = _random_family(n, m, rng), _random_family(n, m, rng)
         # slots are indexed by (row bundle, outer symbol): n rows, n symbols
         expect = sum(
-            intersection_size(fam_a.members[i][k], fam_b.members[i][k])
+            intersection_size(fam_a[i][k], fam_b[i][k])
             for i in range(n)
             for k in range(n)
         )
@@ -159,14 +155,17 @@ def test_reorder_permutation_layout():
 
 def test_square_family_validation():
     sq2, sq3 = cyclic_square(2), cyclic_square(3)
+    outer = cyclic_square(2)
     with pytest.raises(MalformedInputError):
-        SquareFamily([[sq2], [sq2, sq2]])
+        triangle_product(outer, [[sq2], [sq2, sq2]])
     with pytest.raises(MalformedInputError):
-        SquareFamily([[sq2, sq3], [sq2, sq2]])
+        triangle_product(outer, [[sq2, sq3], [sq2, sq2]])
     with pytest.raises(MalformedInputError):
-        SquareFamily([])
+        triangle_product(outer, [])
     with pytest.raises(MalformedInputError):
-        triangle_product(cyclic_square(3), SquareFamily.constant(2, sq2))
+        triangle_product(cyclic_square(3), [[sq2] * 2] * 2)
+    with pytest.raises(MalformedInputError):
+        triangle_product(outer, [[sq2, sq2.cells], [sq2, sq2]])
 
 
 def test_spectrum_values():

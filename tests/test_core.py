@@ -221,8 +221,8 @@ def test_validation_error_carries_violation():
 
 def test_each_built_square_is_checked_once(monkeypatch):
     from sudoku_spectra import core
-    from sudoku_spectra.construct import SquareFamily, sudoku_reorder, triangle_product
-    from sudoku_spectra.spectrum import RealizationCertificate
+    from sudoku_spectra.construct import sudoku_reorder, triangle_product
+    from sudoku_spectra.spectrum import PairCache, RealizationCertificate, realize_sudoku_pair
 
     checks = []
     for name in ("validate_latin", "validate_sudoku"):
@@ -238,14 +238,32 @@ def test_each_built_square_is_checked_once(monkeypatch):
         return result, list(checks)
 
     bt = BoxType(2, 3)
-    outer, family = cyclic_square(2), SquareFamily.constant(2, cyclic_square(3))
+    outer, family = cyclic_square(2), [[cyclic_square(3)] * 2] * 2
     product, made = checks_made_by(lambda: triangle_product(outer, family))
     assert made == ["validate_latin"]
     s, made = checks_made_by(lambda: sudoku_reorder(product, 2, 3))
     assert made == ["validate_sudoku"]
     assert checks_made_by(lambda: SudokuSquare(s.cells.tolist(), bt))[1] == ["validate_sudoku"]
     assert checks_made_by(lambda: SudokuSquare(s.square, bt))[1] == ["validate_sudoku"]
-    assert checks_made_by(s.transposed)[1] == ["validate_sudoku"]
+    assert checks_made_by(s.transposed)[1] == []
     text = RealizationCertificate(s, s, 36, "product").to_json()
     made = checks_made_by(lambda: RealizationCertificate.from_json(text))[1]
     assert made == ["validate_sudoku"] * 2
+
+    # a warm product target of order n: the outer square's rows and columns
+    # once, each product's rows and columns once, and its boxes once
+    lines = []
+    check = core._lines_are_permutations
+
+    def counted_lines(grid, box_type, rows_and_columns=True):
+        n = grid.shape[0]
+        lines.append(2 * n * rows_and_columns + n * (box_type is not None))
+        return check(grid, box_type, rows_and_columns)
+
+    monkeypatch.setattr(core, "_lines_are_permutations", counted_lines)
+    for h, w in [(4, 6), (6, 4)]:
+        cache = PairCache()
+        realize_sudoku_pair(h, w, 300, cache=cache)
+        lines.clear()
+        realize_sudoku_pair(h, w, 300, cache=cache)
+        assert sum(lines) <= 6 * h * w + 2 * min(h, w)

@@ -64,6 +64,8 @@ def test_labels_are_recomputed_on_load():
     with pytest.raises(ParseError) as exc:
         _parse_fixture(tampered, BoxType(1, 7))
     assert exc.value.kind == "label" and "labelled 44" in str(exc.value)
+    with pytest.raises(ParseError, match="labelled 45"):
+        _parse_fixture(text.replace("\n49: ", "\n45: "), BoxType(1, 7))
 
 
 def test_verification_recomputes_every_label():
