@@ -64,7 +64,7 @@ def as_grid(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> np.ndarray:
         raise MalformedInputError(f"not a rectangular integer grid: {exc}") from None
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
         raise MalformedInputError(f"expected a nonempty square grid, got shape {raw.shape}")
-    if not np.issubdtype(raw.dtype, np.integer):
+    if raw.dtype.kind not in "iu":  # signed or unsigned integers
         raise MalformedInputError(f"expected integer entries, got dtype {raw.dtype}")
     grid = raw.astype(np.int64, copy=True)
     n = grid.shape[0]
@@ -407,7 +407,9 @@ def relabel_sudoku(s: SudokuSquare, pi: Sequence[int]) -> SudokuSquare:
     return SudokuSquare(permute_symbols(s.square, pi), s.box_type)
 
 
+@lru_cache(maxsize=32)
 def cyclic_square(n: int) -> LatinSquare:
-    """The addition table of Z_n: entry (i, j) = (i + j) mod n."""
+    """The addition table of Z_n: entry (i, j) = (i + j) mod n.  Memoized,
+    as a LatinSquare is immutable and its cells are read-only."""
     i = np.arange(n)
     return LatinSquare((i[:, None] + i[None, :]) % n)

@@ -15,7 +15,9 @@ failures surface as the usual validation errors.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from functools import lru_cache
+
+import numpy as np
 
 from .core import BoxType, MalformedInputError, SudokuSquare
 
@@ -123,11 +125,58 @@ def serialize(square: SudokuSquare, style: str = "single_line") -> str:
             " ".join(str(v).rjust(width) for v in row) for row in square.cells.tolist()
         )
     if style == "json":
-        payload = {"h": square.box_type.h, "w": square.box_type.w, "rows": square.cells.tolist()}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return f'{{"h":{square.box_type.h},"rows":{grid_json(square.cells)},"w":{square.box_type.w}}}'
     raise ValueError(f"unknown style {style!r}, expected one of {STYLES}")
 
 
 def canonical_json(obj) -> str:
     """Sorted-keys, no-whitespace JSON used for certificates and caches."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@lru_cache(maxsize=32)
+def _grid_codec(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit table and the text template of an order-n grid's canonical
+    JSON, one d + 4 byte row per cell, d the width of n - 1.  A template row
+    holds two opening bytes ("[[" before the first cell, ",[" before each
+    later row's first), d digit slots, and two closing bytes ("," between
+    cells, "]" after a row's last, "]]" after the grid's).  Row v of the
+    table holds the digits of v in those slots.  Unused bytes are NUL."""
+    d = len(str(n - 1))
+    digits = np.zeros((n, d + 4), dtype=np.uint8)
+    digits[:, 2:2 + d] = np.array([str(v).encode() for v in range(n)], f"S{d}").view(
+        np.uint8).reshape(n, d)
+    template = np.zeros((n, n, d + 4), dtype=np.uint8)
+    template[0, 0, :2] = tuple(b"[[")
+    template[1:, 0, :2] = tuple(b",[")
+    template[:, :, d + 2] = ord(",")
+    template[:, -1, d + 2] = ord("]")
+    template[-1, -1, d + 3] = ord("]")
+    template = template.reshape(n * n, d + 4)
+    digits.flags.writeable = template.flags.writeable = False
+    return digits, template
+
+
+def grid_json(cells: np.ndarray) -> str:
+    """``canonical_json(cells.tolist())`` for an order-n grid of symbols
+    0..n-1, written without building Python lists."""
+    digits, template = _grid_codec(cells.shape[0])
+    text = np.take(digits, cells.ravel(), axis=0)
+    text |= template
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+_NO_BRACKETS = str.maketrans("", "", "[]")
+
+
+def grid_from_json(text: str, n: int) -> np.ndarray | None:
+    """The order-n grid of symbols 0..n-1 whose ``grid_json`` is exactly
+    ``text``, or None for any other text, valid JSON or not."""
+    try:
+        values = np.fromstring(text.translate(_NO_BRACKETS), dtype=np.int64, sep=",")
+    except ValueError:  # text between the commas that is not an integer
+        return None
+    if values.size != n * n or values.min() < 0 or values.max() >= n:
+        return None
+    grid = values.reshape(n, n)
+    return grid if grid_json(grid) == text else None

@@ -53,7 +53,14 @@ def _parse_fixture(text: str, box_type: BoxType) -> SeedSet:
         line = line.strip()
         if line and not line.startswith("#"):
             label, _, rest = line.partition(":")
-            raw.append((int(label), parse_single_line(rest, box_type)))
+            try:
+                label = int(label)
+            except ValueError:
+                raise ParseError("label", f"seed label {label!r} for box type {box_type} "
+                                 "is not an integer") from None
+            raw.append((label, parse_single_line(rest, box_type)))
+    if not raw:
+        raise ParseError("label", f"seed fixture for box type {box_type} has no entries")
     reference = raw[-1][1]
     for label, square in raw:  # the reference meets itself in n^2 cells
         actual = intersection_size(square, reference)

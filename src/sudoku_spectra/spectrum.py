@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ from .core import (
     cyclic_square,
     intersection_size,
 )
-from .formats import ParseError, canonical_json
+from .formats import ParseError, canonical_json, grid_from_json, grid_json
 from .seeds import DATABASE, SeedDatabase
 
 
@@ -298,42 +299,72 @@ class RealizationCertificate:
         return actual
 
     def to_json(self) -> str:
-        return canonical_json(
-            {
-                "h": self.a.box_type.h,
-                "w": self.a.box_type.w,
-                "target": self.target,
-                "method": self.method,
-                "a": self.a.cells.tolist(),
-                "b": self.b.cells.tolist(),
-            }
-        )
+        """Canonical JSON: sorted keys, no whitespace.  The grids come first
+        in key order, so the scalar fields close the object."""
+        scalars = canonical_json({"h": self.a.box_type.h, "w": self.a.box_type.w,
+                                  "target": self.target, "method": self.method})
+        return f'{{"a":{grid_json(self.a.cells)},"b":{grid_json(self.b.cells)},{scalars[1:]}'
 
     @classmethod
     def from_json(cls, text: str) -> "RealizationCertificate":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ParseError("certificate", f"certificate is not JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ParseError("certificate", "certificate must be a JSON object")
-        for key, (kind, name) in _CERTIFICATE_FIELDS.items():
-            value = obj.get(key)
-            # bool is an int subclass, but JSON true/false is not a number
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ParseError("certificate", f"certificate field {key!r} must be {name}")
-        if obj["h"] < 2 or obj["w"] < 2:
+        """Read a certificate and check it from scratch.  Canonical text, as
+        ``to_json`` writes it, is read without building Python lists; any
+        other JSON takes the general path, which gives every rejection."""
+        fields = _canonical_certificate(text) if isinstance(text, str) else None
+        if fields is None:
+            fields = _certificate_fields(text)
+        h, w, target, method, rows_a, rows_b = fields
+        if h < 2 or w < 2:
             raise ParseError("certificate", "certificate fields 'h' and 'w' must be at least 2")
-        if obj["method"] not in ("seed", "product"):
+        if method not in ("seed", "product"):
             raise ParseError("certificate", "certificate field 'method' must be seed or product")
-        box = BoxType(obj["h"], obj["w"])
+        box = BoxType(h, w)
         try:
-            a, b = SudokuSquare(obj["a"], box), SudokuSquare(obj["b"], box)
+            a, b = SudokuSquare(rows_a, box), SudokuSquare(rows_b, box)
         except MalformedInputError as exc:  # not an order h*w grid of symbols
             raise ParseError("certificate", f"certificate grid: {exc}") from None
-        cert = cls(a, b, obj["target"], obj["method"])
+        cert = cls(a, b, target, method)
         cert.verify()
         return cert
+
+
+# to_json's text, and realize --out's with its newline.  The grids are
+# matched loosely here and checked exactly by re-encoding; longer numbers
+# than these take the general path, which gives its own rejection.
+_CANONICAL_CERTIFICATE = re.compile(
+    r'\{"a":([^"]*),"b":([^"]*),"h":([1-9][0-9]{0,5}),"method":"(seed|product)",'
+    r'"target":(0|[1-9][0-9]{0,17}),"w":([1-9][0-9]{0,5})\}\n?')
+
+
+def _canonical_certificate(text: str):
+    """The fields of a certificate in exactly the form ``to_json`` writes
+    (or ``realize --out``, which adds a newline), each grid an array, or
+    None for any other text."""
+    match = _CANONICAL_CERTIFICATE.fullmatch(text)
+    if match is None:
+        return None
+    text_a, text_b, h, method, target, w = match.groups()
+    n = int(h) * int(w)
+    grid_a, grid_b = grid_from_json(text_a, n), grid_from_json(text_b, n)
+    if grid_a is None or grid_b is None:
+        return None
+    return int(h), int(w), int(target), method, grid_a, grid_b
+
+
+def _certificate_fields(text):
+    """The fields of any JSON certificate, each of the right JSON type."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParseError("certificate", f"certificate is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError("certificate", "certificate must be a JSON object")
+    for key, (kind, name) in _CERTIFICATE_FIELDS.items():
+        value = obj.get(key)
+        # bool is an int subclass, but JSON true/false is not a number
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParseError("certificate", f"certificate field {key!r} must be {name}")
+    return obj["h"], obj["w"], obj["target"], obj["method"], obj["a"], obj["b"]
 
 
 def realize_sudoku_pair(
@@ -365,8 +396,10 @@ def realize_sudoku_pair(
     else:
         if cache is None:
             cache = PairCache()  # shared by the slots of this target
-        pairs = [realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db)
-                 for part in dec.parts]  # row-major: part i*hh + k fills slot (i, k)
+        # at most four distinct parts: w^2, the residue, 0, or w^2-6 and the rest
+        distinct = {part: realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db)
+                    for part in dict.fromkeys(dec.parts)}
+        pairs = [distinct[part] for part in dec.parts]  # row-major: part i*hh + k fills slot (i, k)
         outer, bundles = cyclic_square(hh), range(0, hh * hh, hh)
         a, b = (sudoku_reorder(triangle_product(outer, [side[i:i + hh] for i in bundles]), hh, ww)
                 for side in zip(*pairs))

@@ -219,6 +219,15 @@ def test_validation_error_carries_violation():
         pytest.fail("expected ValidationError")
 
 
+def test_cyclic_square_is_built_once_and_read_only():
+    sq = cyclic_square(7)
+    assert cyclic_square(7) is sq
+    assert not sq.cells.flags.writeable
+    with pytest.raises(ValueError):
+        sq.cells[0, 0] = 1
+    assert sq.rows()[1] == (1, 2, 3, 4, 5, 6, 0)
+
+
 def test_each_built_square_is_checked_once(monkeypatch):
     from sudoku_spectra import core
     from sudoku_spectra.construct import sudoku_reorder, triangle_product

@@ -17,6 +17,7 @@ from sudoku_spectra.formats import (
     serialize,
 )
 from sudoku_spectra.markov import sample_sudoku
+from sudoku_spectra.spectrum import realize_sudoku_pair
 
 
 def test_round_trip_every_style():
@@ -111,6 +112,15 @@ def test_json_is_canonical():
     assert text == canonical_json(json.loads(text))
     assert " " not in text
     assert list(json.loads(text)) == ["h", "rows", "w"]
+
+
+@pytest.mark.parametrize("h, w", [(2, 2), (3, 4), (3, 6)])
+def test_json_style_matches_the_nested_list_form(h, w):
+    sq = realize_sudoku_pair(h, w, (h * w) ** 2 - 4).a
+    payload = {"h": h, "w": w, "rows": sq.cells.tolist()}
+    assert serialize(sq, "json") == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert serialize(sq.transposed(), "json") == json.dumps(
+        {"h": w, "w": h, "rows": sq.cells.T.tolist()}, sort_keys=True, separators=(",", ":"))
 
 
 def test_unknown_style_rejected():

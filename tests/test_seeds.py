@@ -68,6 +68,18 @@ def test_labels_are_recomputed_on_load():
         _parse_fixture(text.replace("\n49: ", "\n45: "), BoxType(1, 7))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x: 01|10", "'x' for box type .* is not an integer"),
+    ("1: 01|10\n2.5: 10|01", "'2.5' for box type .* is not an integer"),
+    ("", "has no entries"),
+    ("# a comment\n\n   # another\n", "has no entries"),
+], ids=["letter-label", "fraction-label", "empty", "comments-only"])
+def test_malformed_fixtures_raise_tagged_label_errors(text, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        _parse_fixture(text, BoxType(1, 2))
+    assert exc.value.kind == "label"
+
+
 def test_verification_recomputes_every_label():
     # loading recomputes each label; the reference counts as label n^2
     for (h, w), labels in EXPECTED_LABELS.items():

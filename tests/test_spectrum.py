@@ -1,8 +1,10 @@
 """Realizing prescribed intersection values."""
 
 import json
+import re
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,6 +225,26 @@ def test_seed_types_realize_from_fixtures():
             assert cert.a.box_type == BoxType(h, w)
 
 
+def test_a_warm_target_builds_one_latin_pair_per_distinct_part(monkeypatch):
+    cache = PairCache()
+    targets = [0, 69, 600, 1200, 1292, 1296]  # 69 = 36 + 30 + 3: four distinct parts
+    for t in targets:
+        realize_sudoku_pair(6, 6, t, cache=cache)
+    calls = []
+    build = spectrum.realize_latin_pair
+
+    def counted(w, s, *args, **kwargs):
+        calls.append(s)
+        return build(w, s, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "realize_latin_pair", counted)
+    for t in targets:
+        calls.clear()
+        assert realize_sudoku_pair(6, 6, t, cache=cache).verify() == t
+        parts = spectrum.decompose_target(t, 6, 6).parts
+        assert sorted(calls) == sorted(set(parts)) and len(calls) <= 4, t
+
+
 def test_transposed_seed_types():
     cert = realize_sudoku_pair(3, 2, 17)
     assert cert.a.box_type == BoxType(3, 2)
@@ -299,6 +321,91 @@ def test_certificate_json_matches_the_nested_int_list_form():
         "b": [list(map(int, row)) for row in cert.b.cells.tolist()],
     }
     assert cert.to_json() == canonical_json(nested)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("canonical certificate text must not reach json.loads")
+
+
+@pytest.mark.parametrize("h, w", [(2, 2), (2, 5), (3, 4), (10, 10), (2, 51), (12, 12)],
+                         ids=["n4", "n10", "n12", "n100", "n102", "n144"])
+def test_certificate_json_is_canonical_at_every_digit_width(h, w, monkeypatch):
+    # the orders where the widest symbol gains a digit, and their neighbours
+    t = (h * w) ** 2 - 4
+    cert = realize_sudoku_pair(h, w, t)
+    text = cert.to_json()
+    assert text == canonical_json({"h": h, "w": w, "target": t, "method": cert.method,
+                                   "a": cert.a.cells.tolist(), "b": cert.b.cells.tolist()})
+    monkeypatch.setattr(spectrum, "_certificate_fields", _never)
+    assert RealizationCertificate.from_json(text) == cert
+
+
+def _outcome(text, general_only=False):
+    """What ``from_json`` gives for ``text``: the certificate, or the
+    exception's type, kind and message.  ``general_only`` sends every text
+    through ``json.loads`` and the field checks."""
+    fast = (lambda text: None) if general_only else spectrum._canonical_certificate
+    with mock.patch.object(spectrum, "_canonical_certificate", fast):
+        try:
+            return RealizationCertificate.from_json(text)
+        except (ValueError, AssertionError) as exc:  # ParseError, validation, CertificateError
+            return type(exc), getattr(exc, "kind", None), str(exc)
+
+
+def _first_cell(pattern):
+    return lambda text: re.sub(r'("a":\[\[)(\d+)', pattern, text, count=1)
+
+
+def _reformat(**dumps):
+    return lambda text: json.dumps(json.loads(text), **dumps)
+
+
+CANONICAL_MUTATIONS = {
+    "unchanged": lambda text: text,
+    "spaces": _reformat(),
+    "indented": _reformat(indent=1),
+    "newline-after": lambda text: text + "\n",
+    "keys-reversed": lambda text: json.dumps(dict(reversed(json.loads(text).items())),
+                                             separators=(",", ":")),
+    "leading-zero": _first_cell(r"\g<1>0\2"),
+    "minus-one": _first_cell(r"\g<1>-1"),
+    "float": _first_cell(r"\g<1>\2.0"),
+    "out-of-range": _first_cell(r"\g<1>99"),
+    "other-symbol": _first_cell(lambda m: m[1] + str((int(m[2]) + 1) % 6)),
+    "ragged-row": lambda text: re.sub(r'("a":\[\[[^\]]*),\d+\]', r"\1]", text, count=1),
+    "extra-bracket": lambda text: text.replace('"a":[[', '"a":[[[', 1),
+    "missing-bracket": lambda text: text.replace('"a":[[', '"a":[', 1),
+    "double-comma": lambda text: re.sub(r'("a":\[\[\d+),', r"\1,,", text, count=1),
+    "bytes": lambda text: text.encode(),
+    "h-w-swapped": lambda text: text.replace('"h":2', '"h":3').replace('"w":3', '"w":2'),
+    "w-too-large": lambda text: text.replace('"w":3', '"w":4'),
+    "h-5000-digits": lambda text: text.replace('"h":2', '"h":' + "9" * 5000),
+    "target-huge": lambda text: text.replace('"target":10', '"target":' + "9" * 30),
+    "h-one": lambda text: text.replace('"h":2', '"h":1').replace('"w":3', '"w":6'),
+    "target-off": lambda text: text.replace('"target":10', '"target":11'),
+    "method-unknown": lambda text: text.replace('"product"', '"banana"').replace('"seed"', '"banana"'),
+}
+
+
+@pytest.mark.parametrize("mutate", CANONICAL_MUTATIONS.values(), ids=CANONICAL_MUTATIONS)
+def test_canonical_reader_agrees_with_json_loads(mutate):
+    text = mutate(realize_sudoku_pair(2, 3, 10).to_json())
+    assert _outcome(text) == _outcome(text, general_only=True)
+
+
+EDIT_BASES = [realize_sudoku_pair(2, 3, 10).to_json(), realize_sudoku_pair(3, 4, 100).to_json()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonical_reader_agrees_with_json_loads_after_any_one_edit(data):
+    text = data.draw(st.sampled_from(EDIT_BASES))
+    at = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from('0123456789,[]-. "'))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    keep = at if edit == "insert" else at + 1
+    text = text[:at] + ("" if edit == "delete" else char) + text[keep:]
+    assert _outcome(text) == _outcome(text, general_only=True)
 
 
 def test_certificate_rejects_tampering():
