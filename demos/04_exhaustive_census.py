@@ -2,23 +2,19 @@
 
 Enumerates all squares of an order (up to relabelling), reduces by the
 position symmetries, and sweeps intersection counts against every
-relabelling.  Feasible through order 5 for latin squares and order 6
-for box types.
+relabelling.  A latin square is box type (1, n), whose boxes are its
+rows.  Feasible through order 5 for latin squares and order 6 for box
+types.
 
 Run: python3 demos/04_exhaustive_census.py
 """
 
-from sudoku_spectra import (
-    brute_force_latin_spectrum,
-    brute_force_spectrum,
-    latin_spectrum,
-    sudoku_spectrum,
-)
+from sudoku_spectra import brute_force_spectrum, latin_spectrum, sudoku_spectrum
 
 
 def main():
     for n in (1, 2, 3, 4):
-        report = brute_force_latin_spectrum(n)
+        report = brute_force_spectrum(1, n)
         match = "matches" if report.values == latin_spectrum(n) else "DIFFERS FROM"
         print(f"order {n}: {report.total_count} squares "
               f"({report.canonical_count} up to relabelling), "

@@ -100,11 +100,12 @@ def latin_spectrum(n: int) -> frozenset[int]:
 
 @cache
 def sudoku_spectrum(h: int, w: int) -> frozenset[int]:
-    """Achievable |A ∩ B| over pairs of Sudoku squares of box type (h, w)."""
-    if h < 2 or w < 2:
-        raise ValueError(f"box type needs h, w >= 2, got {(h, w)}")
-    if h == 2 and w == 2:
-        return frozenset({0, 1, 2, 3, 4, 6, 8, 9, 12, 16})
+    """Achievable |A ∩ B| over pairs of Sudoku squares of box type (h, w);
+    box type (1, n) is the order-n latin square."""
+    if h < 1 or w < 1:
+        raise ValueError(f"box type must be positive, got {(h, w)}")
+    if 1 in (h, w) or (h, w) == (2, 2):
+        return latin_spectrum(h * w)
     return upsilon(h * w)
 
 

@@ -165,12 +165,23 @@ def _first_violation(
     raise AssertionError("vectorized check failed but no line repeats a symbol")
 
 
+def _check_lines(
+    grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
+) -> ValidationReport:
+    """The line check behind both validators and both constructors, on a
+    grid already coerced by ``as_grid`` (or a LatinSquare's cells)."""
+    if box_type is not None and grid.shape[0] != box_type.n:
+        raise MalformedInputError(
+            f"grid order {grid.shape[0]} does not match box type {box_type.h}x{box_type.w}"
+        )
+    if _lines_are_permutations(grid, box_type, rows_and_columns):
+        return ValidationReport(True)
+    return ValidationReport(False, _first_violation(grid, box_type, rows_and_columns))
+
+
 def validate_latin(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> ValidationReport:
     """Check the latin property; malformed input raises instead of reporting."""
-    grid = as_grid(rows)
-    if _lines_are_permutations(grid, None):
-        return ValidationReport(True)
-    return ValidationReport(False, _first_violation(grid, None))
+    return _check_lines(as_grid(rows), None)
 
 
 def validate_sudoku(
@@ -181,15 +192,9 @@ def validate_sudoku(
     A LatinSquare was checked when it was built, so only its boxes are
     checked; the report is the one the full check gives.
     """
-    known_latin = isinstance(rows, LatinSquare)
-    grid = rows.cells if known_latin else as_grid(rows)
-    if grid.shape[0] != box_type.n:
-        raise MalformedInputError(
-            f"grid order {grid.shape[0]} does not match box type {box_type.h}x{box_type.w}"
-        )
-    if _lines_are_permutations(grid, box_type, not known_latin):
-        return ValidationReport(True)
-    return ValidationReport(False, _first_violation(grid, box_type, not known_latin))
+    if isinstance(rows, LatinSquare):
+        return _check_lines(rows.cells, box_type, rows_and_columns=False)
+    return _check_lines(as_grid(rows), box_type)
 
 
 class LatinSquare:
@@ -199,7 +204,7 @@ class LatinSquare:
 
     def __init__(self, rows: Union[np.ndarray, Sequence[Sequence[int]]]):
         grid = as_grid(rows)
-        report = validate_latin(grid)
+        report = _check_lines(grid, None)
         if not report.ok:
             raise LatinViolationError(report.violation)
         self._set_cells(grid)
@@ -257,15 +262,15 @@ class SudokuSquare:
     __slots__ = ("square", "box_type")
 
     def __init__(self, square: Union[LatinSquare, np.ndarray, Sequence], box_type: BoxType):
-        if not isinstance(square, LatinSquare):
-            square = as_grid(square)
-        report = validate_sudoku(square, box_type)
+        known_latin = isinstance(square, LatinSquare)
+        grid = square.cells if known_latin else as_grid(square)
+        report = _check_lines(grid, box_type, not known_latin)
         if not report.ok:
             if report.violation.kind == "box":
                 raise BoxViolationError(report.violation)
             raise LatinViolationError(report.violation)
-        if not isinstance(square, LatinSquare):
-            square = LatinSquare._from_checked(square)
+        if not known_latin:
+            square = LatinSquare._from_checked(grid)
         object.__setattr__(self, "square", square)
         object.__setattr__(self, "box_type", box_type)
 

@@ -12,8 +12,11 @@ selector.  Intersection sizes are invariant when both squares get the
 same row permutation, column permutation, or transpose, and
 validity-preserving choices of those map the enumerated family onto
 itself, so the left square A only needs to range over orbit
-representatives of that action.  Each reduction step is cross-checked
-against the all-pairs mode (``reduction="none"``) in the test suite.
+representatives of that action.  The test suite checks the reduced
+sweep against an all-pairs comparison of every square.
+
+A latin square is box type (1, n): its boxes are its rows, so one
+enumerator, one position group and one sweep serve both kinds of square.
 """
 from __future__ import annotations
 
@@ -24,22 +27,16 @@ from functools import cache
 
 import numpy as np
 
-from .core import BoxType, LatinSquare, SudokuSquare, intersection_size
+from .core import BoxType, SudokuSquare, intersection_size
 
 MAX_LATIN_ORDER = 5
 MAX_SUDOKU_ORDER = 6
 
-REDUCTIONS = ("orbit", "symbol", "none")
 
-
-def _fill_squares(n: int, group_of: list[int] | None, first_row_fixed: bool) -> list[list[int]]:
+def _fill_squares(n: int, group_of: list[int], first_row_fixed: bool) -> list[list[int]]:
     """Every order-n latin square, as a row-major list, in which each group
-    of cells (``group_of[pos]`` in 0..n-1, or None for no groups) also
-    holds every symbol.  With ``first_row_fixed`` the first row reads
-    0..n-1."""
-    if group_of is None:
-        # the rows again: a redundant constraint, so the loop has one shape
-        group_of = [pos // n for pos in range(n * n)]
+    of cells (``group_of[pos]`` in 0..n-1) also holds every symbol.  With
+    ``first_row_fixed`` the first row reads 0..n-1."""
     full = (1 << n) - 1
     grid = [0] * (n * n)
     row_mask = [0] * n
@@ -79,14 +76,14 @@ def _fill_squares(n: int, group_of: list[int] | None, first_row_fixed: bool) -> 
     return out
 
 
-def enumerate_squares(n: int, box_type: BoxType | None, first_row_fixed: bool = True) -> np.ndarray:
-    """All order-n (Sudoku) latin squares as an (N, n*n) uint8 array.
+def enumerate_squares(n: int, box_type: BoxType, first_row_fixed: bool = True) -> np.ndarray:
+    """All order-n Sudoku squares of the box type as an (N, n*n) uint8
+    array; box type (1, n) gives every latin square.
 
     With ``first_row_fixed`` only squares whose first row reads 0..n-1 are
     produced, one per symbol-relabelling class.
     """
-    box_of = box_type.cell_boxes() if box_type is not None else None
-    out = _fill_squares(n, box_of, first_row_fixed)
+    out = _fill_squares(n, box_type.cell_boxes(), first_row_fixed)
     return np.array(out, dtype=np.uint8).reshape(len(out), n * n)
 
 
@@ -106,17 +103,14 @@ def _line_permutations(total: int, block: int) -> list[tuple[int, ...]]:
     return perms
 
 
-def position_group(n: int, box_type: BoxType | None) -> np.ndarray:
+def position_group(n: int, box_type: BoxType) -> np.ndarray:
     """Cell-position permutations preserving the enumerated family, as a
     (G, n*n) gather table: transformed_flat = flat[P[g]]."""
-    if box_type is None:
-        row_perms = list(itertools.permutations(range(n)))
-        col_perms = row_perms
-        transpose_ok = True
-    else:
-        row_perms = _line_permutations(n, box_type.h)
-        col_perms = _line_permutations(n, box_type.w)
-        transpose_ok = box_type.h == box_type.w
+    row_perms = _line_permutations(n, box_type.h)
+    col_perms = _line_permutations(n, box_type.w)
+    # the transpose has box type (w, h): the same family when the boxes
+    # are square or are lines, as in a latin square
+    transpose_ok = box_type.h == box_type.w or 1 in (box_type.h, box_type.w)
     cells = []
     for rho in row_perms:
         rho = np.asarray(rho, dtype=np.int32)
@@ -186,48 +180,31 @@ class SpectrumReport:
     """Result of a brute-force spectrum computation."""
 
     order: int
-    box_type: BoxType | None
+    box_type: BoxType
     canonical_count: int
     total_count: int
     values: frozenset[int]
     witnesses: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]
-    reduction: str
-    orbit_count: int | None = None
+    orbit_count: int
 
 
-def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: int) -> SpectrumReport:
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    canon = enumerate_squares(n, box_type, first_row_fixed=True)
+def brute_force_spectrum(h: int, w: int, *, jobs: int = 1) -> SpectrumReport:
+    """Exact I(h, w) by enumeration, with re-verified witnesses, for latin
+    orders (h or w = 1) up to 5 and box orders up to 6."""
+    box = BoxType(h, w)
+    n = box.n
+    if 1 in (h, w) and n > MAX_LATIN_ORDER:
+        raise ValueError(f"latin enumeration supports 1 <= n <= {MAX_LATIN_ORDER}, got {n}")
+    if n > MAX_SUDOKU_ORDER:
+        raise ValueError(f"Sudoku enumeration supports h*w <= {MAX_SUDOKU_ORDER}, got {(h, w)}")
+    canon = enumerate_squares(n, box, first_row_fixed=True)
     if len(canon) == 0:
         raise RuntimeError(f"no squares of order {n} found, enumeration is broken")
     perms, _ = _symbol_selector(n)
-    total = len(canon) * len(perms)
+    reps = orbit_representatives(canon, n, position_group(n, box))
 
     def to_rows(flat: np.ndarray) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(v) for v in row) for row in flat.reshape(n, n))
-
-    if reduction == "none":
-        # expand every square and compare all ordered pairs
-        all_sq = perms.astype(np.uint8)[:, canon].reshape(total, n * n)
-        values: set[int] = set()
-        witnesses = {}
-        for i in range(len(all_sq)):
-            agree = (all_sq == all_sq[i]).sum(axis=1)
-            for v in np.unique(agree).tolist():
-                if v not in values:
-                    j = int(np.argwhere(agree == v)[0][0])
-                    values.add(v)
-                    witnesses[v] = (to_rows(all_sq[i]), to_rows(all_sq[j]))
-        return SpectrumReport(n, box_type, len(canon), total, frozenset(values), witnesses, reduction)
-
-    if reduction == "symbol":
-        reps = list(range(len(canon)))
-        orbit_count = None
-    else:
-        group = position_group(n, box_type)
-        reps = orbit_representatives(canon, n, group)
-        orbit_count = len(reps)
 
     # Results are merged in representative order, so a worker that skips a
     # value already in ``witnesses`` skips it only for an earlier
@@ -246,39 +223,14 @@ def _compute_spectrum(n: int, box_type: BoxType | None, reduction: str, jobs: in
                 if v not in witnesses:
                     b_flat = perms[p][canon[k]].astype(np.uint8)
                     witnesses[v] = (to_rows(canon[rep_idx]), to_rows(b_flat))
-    return SpectrumReport(n, box_type, len(canon), total, frozenset(witnesses), witnesses,
-                          reduction, orbit_count)
-
-
-def _verify_witnesses(report: SpectrumReport) -> None:
-    for v, (a_rows, b_rows) in report.witnesses.items():
-        if report.box_type is None:
-            a, b = LatinSquare(a_rows), LatinSquare(b_rows)
-        else:
-            a = SudokuSquare(a_rows, report.box_type)
-            b = SudokuSquare(b_rows, report.box_type)
-        actual = intersection_size(a, b)
+    for v, (a_rows, b_rows) in witnesses.items():
+        actual = intersection_size(SudokuSquare(a_rows, box), SudokuSquare(b_rows, box))
         if actual != v:
             raise AssertionError(f"witness pair for value {v} actually meets in {actual} cells")
+    return SpectrumReport(n, box, len(canon), len(canon) * len(perms), frozenset(witnesses),
+                          witnesses, len(reps))
 
 
-def brute_force_latin_spectrum(n: int, *, reduction: str = "orbit", jobs: int = 1) -> SpectrumReport:
-    """Exact I(n) by enumeration, for n <= 5, with re-verified witnesses."""
-    if not 1 <= n <= MAX_LATIN_ORDER:
-        raise ValueError(f"latin enumeration supports 1 <= n <= {MAX_LATIN_ORDER}, got {n}")
-    report = _compute_spectrum(n, None, reduction, jobs)
-    _verify_witnesses(report)
-    return report
-
-
-def brute_force_spectrum(h: int, w: int, *, reduction: str = "orbit", jobs: int = 1) -> SpectrumReport:
-    """Exact I(h, w) by enumeration, for h, w >= 2 and h*w <= 6, with
-    re-verified witnesses."""
-    if h < 2 or w < 2 or h * w > MAX_SUDOKU_ORDER:
-        raise ValueError(
-            f"Sudoku enumeration supports h, w >= 2 and h*w <= {MAX_SUDOKU_ORDER}, got {(h, w)}"
-        )
-    box = BoxType(h, w)
-    report = _compute_spectrum(box.n, box, reduction, jobs)
-    _verify_witnesses(report)
-    return report
+def brute_force_latin_spectrum(n: int, *, jobs: int = 1) -> SpectrumReport:
+    """Exact I(n) by enumeration, for n <= 5: the spectrum of box type (1, n)."""
+    return brute_force_spectrum(1, n, jobs=jobs)

@@ -91,6 +91,14 @@ def test_realize_over_order_limit_exits_1(capsys):
     assert "error" in err
 
 
+def test_realize_rejects_latin_box_types(capsys):
+    # the realizer builds Sudoku pairs only; latin pairs come from the library
+    for h, w in [("1", "5"), ("5", "1")]:
+        rc, out, err = run(capsys, "realize", "--h", h, "--w", w, "--t", "0")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: box type needs h, w >= 2")
+
+
 def test_verify_all_styles(tmp_path, capsys):
     a = sample_sudoku(2, 3, 7)
     b = sample_sudoku(2, 3, 8)
@@ -141,6 +149,15 @@ def test_spectrum_brute_mode(capsys):
     assert rc == 0
     assert list(map(int, out.split())) == [0, 1, 2, 3, 4, 6, 8, 9, 12, 16]
     assert "288 squares" in err
+
+
+@pytest.mark.parametrize("mode", ["theorem", "brute"])
+def test_spectrum_of_latin_box_types(capsys, mode):
+    # a latin square is box type (1, n) or (n, 1) in every spectrum mode
+    for h, w in [("1", "5"), ("5", "1")]:
+        rc, out, _ = run(capsys, "spectrum", "--h", h, "--w", w, "--mode", mode)
+        assert rc == 0
+        assert list(map(int, out.split())) == list(range(20)) + [21, 25]
 
 
 def test_spectrum_brute_mode_bounds(capsys, monkeypatch):

@@ -182,8 +182,9 @@ def test_spectrum_values():
     assert sudoku_spectrum(3, 4) is sudoku_spectrum(3, 4)
     with pytest.raises(ValueError):
         upsilon(2)
+    assert sudoku_spectrum(1, 5) == sudoku_spectrum(5, 1) == latin_spectrum(5)
     with pytest.raises(ValueError):
-        sudoku_spectrum(1, 4)
+        sudoku_spectrum(0, 4)
     with pytest.raises(ValueError):
         latin_spectrum(0)
 

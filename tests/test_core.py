@@ -233,13 +233,21 @@ def test_each_built_square_is_checked_once(monkeypatch):
     from sudoku_spectra.construct import sudoku_reorder, triangle_product
     from sudoku_spectra.spectrum import PairCache, RealizationCertificate, realize_sudoku_pair
 
+    # every check, public or from a constructor, runs core._check_lines;
+    # every grid from outside is coerced by core.as_grid
     checks = []
-    for name in ("validate_latin", "validate_sudoku"):
-        def counted(*args, _check=getattr(core, name), _name=name):
-            checks.append(_name)
-            return _check(*args)
+    check_lines, as_grid = core._check_lines, core.as_grid
 
-        monkeypatch.setattr(core, name, counted)
+    def counted_check(grid, box_type, *args):
+        checks.append("latin" if box_type is None else "sudoku")
+        return check_lines(grid, box_type, *args)
+
+    def counted_coercion(rows):
+        checks.append("as_grid")
+        return as_grid(rows)
+
+    monkeypatch.setattr(core, "_check_lines", counted_check)
+    monkeypatch.setattr(core, "as_grid", counted_coercion)
 
     def checks_made_by(build):
         checks.clear()
@@ -249,15 +257,18 @@ def test_each_built_square_is_checked_once(monkeypatch):
     bt = BoxType(2, 3)
     outer, family = cyclic_square(2), [[cyclic_square(3)] * 2] * 2
     product, made = checks_made_by(lambda: triangle_product(outer, family))
-    assert made == ["validate_latin"]
+    assert made == ["as_grid", "latin"]
     s, made = checks_made_by(lambda: sudoku_reorder(product, 2, 3))
-    assert made == ["validate_sudoku"]
-    assert checks_made_by(lambda: SudokuSquare(s.cells.tolist(), bt))[1] == ["validate_sudoku"]
-    assert checks_made_by(lambda: SudokuSquare(s.square, bt))[1] == ["validate_sudoku"]
+    assert made == ["sudoku"]
+    assert checks_made_by(lambda: SudokuSquare(s.cells.tolist(), bt))[1] == ["as_grid", "sudoku"]
+    assert checks_made_by(lambda: LatinSquare(s.cells.tolist()))[1] == ["as_grid", "latin"]
+    assert checks_made_by(lambda: SudokuSquare(s.square, bt))[1] == ["sudoku"]
+    assert checks_made_by(lambda: validate_sudoku(s.cells, bt))[1] == ["as_grid", "sudoku"]
+    assert checks_made_by(lambda: validate_latin(s.cells))[1] == ["as_grid", "latin"]
     assert checks_made_by(s.transposed)[1] == []
     text = RealizationCertificate(s, s, 36, "product").to_json()
     made = checks_made_by(lambda: RealizationCertificate.from_json(text))[1]
-    assert made == ["validate_sudoku"] * 2
+    assert made == ["as_grid", "sudoku"] * 2
 
     # a warm product target of order n: the outer square's rows and columns
     # once, each product's rows and columns once, and its boxes once

@@ -6,7 +6,6 @@ import pytest
 from sudoku_spectra import enumeration
 from sudoku_spectra.core import (
     BoxType,
-    LatinSquare,
     SudokuSquare,
     intersection_size,
     validate_latin,
@@ -22,20 +21,22 @@ from sudoku_spectra.enumeration import (
     position_group,
 )
 
-# reduced (first row 0..n-1) and total counts of latin squares
-LATIN_COUNTS = {1: (1, 1), 2: (1, 2), 3: (2, 12), 4: (24, 576), 5: (1344, 161280)}
+# reduced (first row 0..n-1), total and orbit counts of latin squares
+LATIN_COUNTS = {1: (1, 1, 1), 2: (1, 2, 1), 3: (2, 12, 1), 4: (24, 576, 2), 5: (1344, 161280, 2)}
 
 
 def test_latin_square_counts():
-    for n, (canonical, total) in LATIN_COUNTS.items():
+    for n, counts in LATIN_COUNTS.items():
         rep = brute_force_latin_spectrum(n)
-        assert rep.canonical_count == canonical
-        assert rep.total_count == total
+        assert (rep.canonical_count, rep.total_count, rep.orbit_count) == counts
+        assert rep.box_type == BoxType(1, n)
+        if n <= 4:
+            assert rep == brute_force_spectrum(1, n)
 
 
 def test_enumerated_squares_are_valid_and_distinct():
     for n in (2, 3, 4):
-        canon = enumerate_squares(n, None)
+        canon = enumerate_squares(n, BoxType(1, n))
         assert len({row.tobytes() for row in canon}) == len(canon)
         for flat in canon:
             grid = flat.reshape(n, n)
@@ -58,7 +59,7 @@ def test_sudoku_counts():
 
 def test_position_group_maps_squares_to_squares():
     rng = np.random.default_rng(21)
-    for n, bt in [(4, None), (4, BoxType(2, 2)), (6, BoxType(2, 3))]:
+    for n, bt in [(4, BoxType(1, 4)), (4, BoxType(4, 1)), (4, BoxType(2, 2)), (6, BoxType(2, 3))]:
         group = position_group(n, bt)
         canon = enumerate_squares(n, bt) if n <= 4 else None
         if canon is None:
@@ -66,11 +67,7 @@ def test_position_group_maps_squares_to_squares():
         for _ in range(20):
             flat = canon[rng.integers(0, len(canon))]
             g = group[rng.integers(0, len(group))]
-            moved = flat[g].reshape(n, n)
-            if bt is None:
-                assert validate_latin(moved).ok
-            else:
-                assert validate_sudoku(moved, bt).ok
+            assert validate_sudoku(flat[g].reshape(n, n), bt).ok
 
 
 def test_orbit_reduction_covers_everything():
@@ -88,41 +85,36 @@ def test_latin_spectra_small_orders():
     assert brute_force_latin_spectrum(4).values == {0, 1, 2, 3, 4, 6, 8, 9, 12, 16}
 
 
-def test_reduction_modes_agree():
-    # latin orders 3 and 4 and box (2, 2) are small enough to run all three ways
-    for builder in (
-        lambda red: brute_force_latin_spectrum(3, reduction=red),
-        lambda red: brute_force_latin_spectrum(4, reduction=red),
-        lambda red: brute_force_spectrum(2, 2, reduction=red),
-    ):
-        orbit = builder("orbit")
-        symbol = builder("symbol")
-        none = builder("none")
-        assert orbit.values == symbol.values == none.values
-        assert orbit.total_count == symbol.total_count == none.total_count
+def _all_pairs_spectrum(h, w):
+    """The oracle: every square of box type (h, w), not just the canonical
+    ones, against every other, with no symmetry reduction."""
+    squares = enumerate_squares(h * w, BoxType(h, w), first_row_fixed=False)
+    agree = (squares[:, None, :] == squares[None, :, :]).sum(axis=2)
+    return frozenset(np.unique(agree).tolist()), len(squares)
+
+
+def test_orbit_sweep_matches_all_pairs_oracle():
+    # latin orders 3 and 4 and box (2, 2) are small enough to compare all pairs
+    for h, w in [(1, 3), (1, 4), (2, 2)]:
+        report = brute_force_spectrum(h, w)
+        assert (report.values, report.total_count) == _all_pairs_spectrum(h, w)
 
 
 def test_threaded_sweep_matches_sequential():
-    for builder, box_type in (
-        (lambda jobs: brute_force_spectrum(2, 2, jobs=jobs), BoxType(2, 2)),
-        (lambda jobs: brute_force_latin_spectrum(4, jobs=jobs), None),
-    ):
-        one, two = builder(1), builder(2)
+    for h, w in [(2, 2), (1, 4)]:
+        one, two = brute_force_spectrum(h, w, jobs=1), brute_force_spectrum(h, w, jobs=2)
         assert one.values == two.values
         assert set(two.witnesses) == set(two.values)
         assert one.witnesses == two.witnesses
         for v, (a_rows, b_rows) in two.witnesses.items():
-            if box_type is None:
-                a, b = LatinSquare(a_rows), LatinSquare(b_rows)
-            else:
-                a, b = SudokuSquare(a_rows, box_type), SudokuSquare(b_rows, box_type)
+            a, b = SudokuSquare(a_rows, BoxType(h, w)), SudokuSquare(b_rows, BoxType(h, w))
             assert intersection_size(a, b) == v
 
 
 def test_witnesses_round_trip():
     rep = brute_force_spectrum(2, 2)
     assert set(rep.witnesses) == set(rep.values)
-    # _verify_witnesses already recounted; spot check shape
+    # brute_force_spectrum already recounted; spot check shape
     a, b = rep.witnesses[max(rep.values)]
     assert len(a) == len(b) == 4
 
@@ -137,8 +129,6 @@ def test_bounds_are_enforced(monkeypatch):
     with pytest.raises(ValueError):
         brute_force_spectrum(2, 4)  # order 8 > 6
     for h, w in [(1, 6), (6, 1)]:  # order 6 fits, but latin order 6 is past its limit
-        with pytest.raises(ValueError, match="h, w >= 2"):
+        with pytest.raises(ValueError, match="latin enumeration supports"):
             brute_force_spectrum(h, w)
-    with pytest.raises(ValueError):
-        brute_force_latin_spectrum(3, reduction="magic")
     assert MAX_SUDOKU_ORDER == 6

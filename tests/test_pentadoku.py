@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sudoku_spectra.construct import latin_spectrum
-from sudoku_spectra.core import LatinSquare, intersection_size, validate_latin
+from sudoku_spectra.core import BoxType, LatinSquare, intersection_size, validate_latin
 from sudoku_spectra.enumeration import enumerate_squares
 import sudoku_spectra
 from sudoku_spectra.pentadoku import (
@@ -205,8 +205,8 @@ def _cage_filtered(squares: np.ndarray, tiling: Tiling) -> np.ndarray:
 
 
 def test_cage_solutions_are_the_cage_respecting_latin_squares(census):
-    canonical = enumerate_squares(5, None)
-    raw = enumerate_squares(5, None, first_row_fixed=False)
+    canonical = enumerate_squares(5, BoxType(1, 5))
+    raw = enumerate_squares(5, BoxType(1, 5), first_row_fixed=False)
     classes = census.value.classes
     picked = [c.tiling for c in classes if c.category in ("unsolvable", "rigid")]
     picked += [c.tiling for c in classes if c.category in ("full", "partial")][::16]
