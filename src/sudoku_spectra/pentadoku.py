@@ -216,10 +216,8 @@ def solve_cage_latin(tiling: Tiling, up_to_relabelling: bool = True) -> tuple[La
     acts freely); multiply counts by 120 for raw solutions.
     """
     cage_of = [v for row in tiling.grid for v in row]
-    return tuple(
-        LatinSquare(np.array(grid, dtype=np.int64).reshape(SIZE, SIZE))
-        for grid in _fill_squares(SIZE, cage_of, up_to_relabelling)
-    )
+    solutions = _fill_squares(SIZE, cage_of, up_to_relabelling)
+    return tuple(LatinSquare(flat.reshape(SIZE, SIZE)) for flat in solutions)
 
 
 def tiling_spectrum(tiling: Tiling, solutions: tuple[LatinSquare, ...] | None = None) -> frozenset[int]:

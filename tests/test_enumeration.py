@@ -1,5 +1,8 @@
 """Exhaustive enumeration: counts, symmetry reduction, spectra."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from sudoku_spectra.core import (
 from sudoku_spectra.enumeration import (
     MAX_LATIN_ORDER,
     MAX_SUDOKU_ORDER,
+    _fill_squares,
     brute_force_latin_spectrum,
     brute_force_spectrum,
     enumerate_squares,
@@ -132,3 +136,97 @@ def test_bounds_are_enforced(monkeypatch):
         with pytest.raises(ValueError, match="latin enumeration supports"):
             brute_force_spectrum(h, w)
     assert MAX_SUDOKU_ORDER == 6
+
+
+def _recursive_fill(n, group_of, first_row_fixed):
+    """The oracle: a cell-at-a-time recursive backtracker in row-major order,
+    trying symbols in ascending order, so its leaves come out sorted."""
+    full = (1 << n) - 1
+    grid, out = [0] * (n * n), []
+    row, col, grp = [0] * n, [0] * n, [0] * n
+
+    def place(pos, bit):
+        grid[pos] = bit.bit_length() - 1
+        for masks, i in ((row, pos // n), (col, pos % n), (grp, group_of[pos])):
+            masks[i] ^= bit
+
+    def fill(pos):
+        if pos == n * n:
+            out.append(grid.copy())
+            return
+        avail = full & ~(row[pos // n] | col[pos % n] | grp[group_of[pos]])
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            place(pos, bit)
+            fill(pos + 1)
+            place(pos, bit)
+
+    for c in range(n if first_row_fixed else 0):
+        place(c, 1 << c)
+    fill(n if first_row_fixed else 0)
+    return np.array(out, dtype=np.uint8).reshape(len(out), n * n)
+
+
+def _assert_kernel_matches_oracle(n, group_of, first_row_fixed):
+    got = _fill_squares(n, group_of, first_row_fixed)
+    want = _recursive_fill(n, group_of, first_row_fixed)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    keys = got.view(f"S{n * n}").ravel()  # strictly increasing rows
+    assert (keys[1:] > keys[:-1]).all()
+    return got
+
+
+@pytest.mark.parametrize("first_row_fixed", [True, False])
+@pytest.mark.parametrize("bt", [BoxType(1, n) for n in range(1, 6)] + [BoxType(2, 2)], ids=str)
+def test_fill_kernel_matches_recursive_oracle(bt, first_row_fixed):
+    got = _assert_kernel_matches_oracle(bt.n, bt.cell_boxes(), first_row_fixed)
+    assert len(got) > 0
+
+
+def test_fill_kernel_matches_recursive_oracle_at_2x3():
+    bt = BoxType(2, 3)
+    assert len(_assert_kernel_matches_oracle(6, bt.cell_boxes(), True)) == 39_168
+
+
+def test_fill_kernel_matches_recursive_oracle_on_every_cage_grid(census):
+    # a canonical cage grid's first row is often one cage, which no later
+    # cell reads; the transpose also spreads the first row over cages
+    for cls in census.value.classes:
+        for grid in (cls.tiling.grid, tuple(zip(*cls.tiling.grid))):
+            got = _assert_kernel_matches_oracle(5, [v for row in grid for v in row], True)
+            assert len(got) == cls.canonical_solutions
+            if cls.category == "unsolvable":
+                assert got.shape == (0, 25) and got.dtype == np.uint8
+    assert census.value.count("unsolvable") > 0
+
+
+def _report_digest(report):
+    dump = json.dumps({
+        "values": sorted(report.values),
+        "canonical_count": report.canonical_count,
+        "total_count": report.total_count,
+        "orbit_count": report.orbit_count,
+        "witnesses": {str(v): report.witnesses[v] for v in sorted(report.witnesses)},
+    }, sort_keys=True)
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
+# The enumeration order picks the orbit representatives and the witnesses,
+# so these pins catch a change of order as well as a change of values.
+REPORT_SHA256 = {
+    (1, 1): "68965bf2de3169889fbb47724e225c98cb96a00c1bda29a5e92d94e809804a47",
+    (1, 2): "32148f4475d81051a14957d01b3c21e69079d8d744a5e1b55030575083d0433a",
+    (1, 3): "8f3eacadcce36e8812ec1a88e112d091a9a710aef0c0f7373e569d2cbfdc18fa",
+    (1, 4): "7443b1369d061a1c0ffb03812390f158ec634d7bb44c866bdadeacec5402c948",
+    (1, 5): "67d0e74a9577e5a3b9be094332bf980dcb5660d1a08544f25cb9d7c348bcdc61",
+    (2, 2): "67da2e6cc65b4b2a0918c436cc5df2e56779cee73433e19b9b874e377f0d26d9",
+}
+SQUARES_2X3_SHA256 = "5a0c1816ba4b3de1f6b08998f6a8a6687e84dedb8956d77a3ef1e0f6e4c53ca9"
+
+
+def test_brute_force_reports_and_2x3_squares_are_pinned():
+    assert {hw: _report_digest(brute_force_spectrum(*hw)) for hw in REPORT_SHA256} == REPORT_SHA256
+    squares = enumerate_squares(6, BoxType(2, 3))
+    assert hashlib.sha256(squares.tobytes()).hexdigest() == SQUARES_2X3_SHA256
