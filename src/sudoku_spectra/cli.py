@@ -114,7 +114,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    square = sample_sudoku(args.h, args.w, rng=args.seed, effort=args.effort)
+    budget = {} if args.effort is None else {"effort": args.effort}
+    square = sample_sudoku(args.h, args.w, rng=args.seed, **budget)
     if args.steps:
         square = drift_near(square, rng=args.seed + 1 if args.seed is not None else None,
                             steps=args.steps)
@@ -174,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     _box_args(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--steps", type=int, default=0, help="extra chain steps after sampling")
-    p.add_argument("--effort", type=int, default=100, help="backtracking budget multiplier")
+    p.add_argument("--effort", type=int, default=None,
+                   help="backtracking budget: effort * n^2 nodes per attempt, over the "
+                        "sampler's restarts (default: the sampler's own)")
     p.add_argument("--format", choices=STYLES, default="single_line")
     p.set_defaults(func=cmd_sample)
 

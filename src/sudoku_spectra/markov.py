@@ -3,9 +3,14 @@ Jacobson-Matthews chain on latin squares, and helpers for steering a
 square toward or away from a reference.
 
 The backtracking sampler ``sample_sudoku`` runs ``_sample_grid``, a
-find-one fill on an explicit stack under a node budget; a random latin
-square is a Sudoku square of box type (1, n).  Enumerating every
-completion is a different job and stays in ``enumeration``.
+find-one exact-cover fill on an explicit stack: it branches on the cell,
+row-symbol or column-symbol item with the fewest options, keeps those
+counts incrementally against peer tables cached per box layout, and
+gives up after ``effort * n * n`` nodes, to restart with fresh draws
+(short runs with restarts tame the search's heavy tails: Gomes, Selman
+& Kautz, AAAI 1998).  A random latin square is a Sudoku square of box
+type (1, n).  Enumerating every completion is a different job and stays
+in ``enumeration``.
 
 The chain walks the 0/1 incidence cube f(r, c, s) of a latin square (all
 line sums 1), allowing one improper cell with a -1 entry.  From a proper
@@ -21,7 +26,9 @@ are reproducible across runs for a given seed.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,86 +50,138 @@ class SampleError(RuntimeError):
     """Backtracking sampler exhausted its restart budget."""
 
 
-def _sample_grid(n: int, group_of: list[int], rng: np.random.Generator,
+@lru_cache(maxsize=16)
+def _peer_table(n: int, group_of: tuple[int, ...]):
+    """Each cell's peers (the other cells of its row, column and group),
+    and the offsets of its row's and its column's items in the counts."""
+    pos = np.arange(n * n)
+    group = np.asarray(group_of)
+    members = np.argsort(group, kind="stable").reshape(n, n)
+    lines = np.concatenate([
+        (pos // n * n)[:, None] + np.arange(n),
+        np.arange(0, n * n, n) + (pos % n)[:, None],
+        members[group],
+    ], axis=1)
+    lines.sort(axis=1)
+    keep = np.ones(lines.shape, dtype=bool)
+    keep[:, 1:] = lines[:, 1:] != lines[:, :-1]
+    keep &= lines != pos[:, None]
+    peers = tuple(tuple(row[k].tolist()) for row, k in zip(lines, keep))
+    return peers, (n * n + pos // n * n).tolist(), (2 * n * n + pos % n * n).tolist()
+
+
+def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
                  effort: int) -> list[int] | None:
     """One randomized backtracking attempt; None on budget exhaustion.
 
     Each cell must also differ from the others in its group
-    (``group_of[pos]`` in 0..n-1).  The fill is depth-first, one cell per
-    level, on an explicit stack, so no order is limited by the
-    interpreter's recursion depth.  Each level takes the most constrained
-    empty cell (ties broken at random) and tries its candidate symbols in
-    random order, so every square of the type has positive probability.
-    Each symbol tried counts one node; None when the tree is exhausted or
-    a node beyond ``effort * n * n`` would be tried.
+    (``group_of[pos]`` in 0..n-1, n cells each).  The search is exact
+    cover (Knuth, TAOCP 4B, 7.2.2.1) over three kinds of item: each cell
+    takes one symbol, and each (row, symbol) and (column, symbol) pair
+    is placed once.  The group constraint lives only in the candidate
+    masks.  Each cell's candidate mask and every item's count of open
+    options are updated on each place and restored on each lift, from a
+    per-level trail of the peers that lost the symbol.
+
+    Each level branches on the open item with the fewest options (the
+    first such in cell, row, column order) and tries them in
+    ``rng.permutation`` order, so every square of the type has positive
+    probability; an item with no option is a dead end.  The fill is
+    depth-first, one cell per level, on an explicit stack, so no order
+    is limited by the interpreter's recursion depth.  Each option tried
+    counts one node; None when the tree is exhausted or a node beyond
+    ``effort * n * n`` would be tried.
     """
     total = n * n
     budget = effort * total
+    # counts[pos] for cells, counts[row_at[pos] + s] for (row, symbol) and
+    # counts[col_at[pos] + s] for (column, symbol)
+    peers, row_at, col_at = _peer_table(n, tuple(group_of))
+    counts = [n] * (3 * total)
+    covered = 1 << 30  # the count of an item already placed: never least
     full = (1 << n) - 1
+    cand = [full] * total
     grid = [-1] * total
-    rows = [0] * n
-    cols = [0] * n
-    groups = [0] * n
-    cell = [0] * total  # the cell filled at each level
-    untried = [None] * total  # and an iterator over its symbols not yet tried
+    untried = [None] * total  # per level: an iterator over its options
+    trail = [None] * total  # per level: what its placement changed
     depth = nodes = 0
     while depth < total:
-        # a full rescan per level, ties broken at random
-        best_count = n + 1
-        ties = 0
-        for pos in range(total):
-            if grid[pos] >= 0:
-                continue
-            a = full & ~rows[pos // n] & ~cols[pos % n] & ~groups[group_of[pos]]
-            cnt = a.bit_count()
-            if cnt == 0:
-                symbols = []  # a dead end
-                break
-            if cnt < best_count:
-                best_count = cnt
-                best_pos = pos
-                best_avail = a
-                ties = 1
-            elif cnt == best_count:
-                ties += 1
-                if rng.integers(ties) == 0:
-                    best_pos = pos
-                    best_avail = a
+        least = min(counts)
+        if least:
+            item = counts.index(least)
+            if item < total:
+                options = [(item, s) for s in range(n) if cand[item] >> s & 1]
+            elif item < 2 * total:
+                r, s = divmod(item - total, n)
+                options = [(pos, s) for pos in range(r * n, r * n + n) if cand[pos] >> s & 1]
+            else:
+                c, s = divmod(item - 2 * total, n)
+                options = [(pos, s) for pos in range(c, total, n) if cand[pos] >> s & 1]
+            if least > 1:
+                options = [options[i] for i in rng.permutation(least)]
         else:
-            pos = best_pos
-            symbols = [s for s in range(n) if best_avail >> s & 1]
-            symbols = [symbols[i] for i in rng.permutation(len(symbols))]
-        cell[depth] = pos
-        todo = untried[depth] = iter(symbols)
-        sym = next(todo, -1)
-        while sym < 0:  # exhausted: back up one level and lift its symbol
+            options = []  # a dead end
+        todo = untried[depth] = iter(options)
+        option = next(todo, None)
+        while option is None:  # exhausted: back up one level and lift its symbol
             if depth == 0:
                 return None
             depth -= 1
-            pos = cell[depth]
-            bit = 1 << grid[pos]
-            rows[pos // n] ^= bit
-            cols[pos % n] ^= bit
-            groups[group_of[pos]] ^= bit
+            pos, sym, mask, saved, hits = trail[depth]
+            bit = 1 << sym
+            for q in hits:
+                cand[q] |= bit
+                counts[q] += 1
+                counts[row_at[q] + sym] += 1
+                counts[col_at[q] + sym] += 1
+            rest = mask ^ bit
+            while rest:
+                low = rest & -rest
+                t = low.bit_length() - 1
+                counts[row_at[pos] + t] += 1
+                counts[col_at[pos] + t] += 1
+                rest ^= low
+            counts[pos], counts[row_at[pos] + sym], counts[col_at[pos] + sym] = saved
+            cand[pos] = mask
             grid[pos] = -1
-            sym = next(untried[depth], -1)
+            option = next(untried[depth], None)
         nodes += 1
         if nodes > budget:
             return None
-        grid[pos] = sym
+        pos, sym = option
         bit = 1 << sym
-        rows[pos // n] |= bit
-        cols[pos % n] |= bit
-        groups[group_of[pos]] |= bit
+        rs = row_at[pos]
+        cs = col_at[pos]
+        mask = cand[pos]
+        saved = counts[pos], counts[rs + sym], counts[cs + sym]
+        counts[pos] = counts[rs + sym] = counts[cs + sym] = covered
+        rest = mask ^ bit  # the cell's other symbols lose this option
+        while rest:
+            low = rest & -rest
+            t = low.bit_length() - 1
+            counts[rs + t] -= 1
+            counts[cs + t] -= 1
+            rest ^= low
+        hits = []
+        for q in peers[pos]:
+            if cand[q] & bit:
+                cand[q] ^= bit
+                counts[q] -= 1
+                counts[row_at[q] + sym] -= 1
+                counts[col_at[q] + sym] -= 1
+                hits.append(q)
+        cand[pos] = 0
+        grid[pos] = sym
+        trail[depth] = pos, sym, mask, saved, hits
         depth += 1
     return grid
 
 
-def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 100, restarts: int = 20) -> SudokuSquare:
+def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 2, restarts: int = 50) -> SudokuSquare:
     """A random Sudoku square of box type (h, w), deterministic in rng."""
     box = BoxType(h, w)
     n = box.n
-    box_of = box.cell_boxes()
+    box_of = tuple(box.cell_boxes())
     rng = ensure_rng(rng)
     for _ in range(restarts):
         grid = _sample_grid(n, box_of, rng, effort)
@@ -131,7 +190,7 @@ def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 100, restarts: int 
     raise SampleError(f"failed to sample a ({h}, {w}) Sudoku square in {restarts} restarts")
 
 
-def random_latin_square(n: int, rng=None, *, effort: int = 100, restarts: int = 20) -> LatinSquare:
+def random_latin_square(n: int, rng=None, *, effort: int = 2, restarts: int = 50) -> LatinSquare:
     """A random order-n latin square: box type (1, n), whose boxes are the
     rows, so no constraint is added."""
     return sample_sudoku(1, n, rng, effort=effort, restarts=restarts).square

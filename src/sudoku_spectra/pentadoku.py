@@ -99,18 +99,20 @@ def _symmetries() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(t.ravel().tolist()) for g in turns for t in (g, g[:, ::-1]))
 
 
-def _flat_key(flat) -> str:
+def _images(flat) -> list[str]:
+    """The cage string of each of the 8 symmetric images of a flat grid,
+    cage ids renumbered in first-appearance order."""
     keys = []
     for perm in _symmetries():
         ids: dict[int, str] = {}
         keys.append("".join([ids.setdefault(flat[i], str(len(ids))) for i in perm]))
-    return min(keys)
+    return keys
 
 
 def canonical_cage_key(grid) -> str:
     """Lexicographically least cage string over the 8 grid symmetries,
     cage ids renumbered in first-appearance order."""
-    return _flat_key(np.asarray(grid).ravel().tolist())
+    return min(_images(np.asarray(grid).ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -190,11 +192,16 @@ def enumerate_tilings() -> tuple[Tiling, ...]:
     full = (1 << SIZE * SIZE) - 1
     # never cleared: at a leaf every cell was written on the current path
     cages = [0] * (SIZE * SIZE)
+    seen: set[str] = set()  # every image of each class found so far
     canonical: set[str] = set()
 
     def place(cage: int, filled: int, used: int) -> None:
         if filled == full:
-            canonical.add(_flat_key(cages))
+            # cages are numbered by least cell, so already in first-appearance order
+            if "".join(map(str, cages)) not in seen:
+                images = _images(cages)
+                seen.update(images)
+                canonical.add(min(images))
             return
         for bit, mask, cells in by_cell[((filled + 1) & ~filled).bit_length() - 1]:
             if not (used & bit or filled & mask):

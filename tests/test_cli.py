@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sudoku_spectra import enumeration
+from sudoku_spectra import cli, enumeration
 from sudoku_spectra.cli import main
 from sudoku_spectra.core import BoxType
 from sudoku_spectra.formats import parse, serialize
@@ -203,6 +203,22 @@ def test_sample_grid_format_and_drift(capsys):
                      "--steps", "4", "--format", "grid")
     assert rc == 0
     parse(out, BoxType(2, 4), "grid")
+
+
+def test_sample_passes_effort_only_when_given(capsys, monkeypatch):
+    # without --effort the sampler's own default budget applies
+    budgets = []
+
+    def recording(h, w, rng=None, **budget):
+        budgets.append(budget)
+        return sample_sudoku(h, w, rng, **budget)
+
+    monkeypatch.setattr(cli, "sample_sudoku", recording)
+    rc, out, _ = run(capsys, "sample", "--h", "3", "--w", "3", "--seed", "11")
+    assert rc == 0
+    assert out.strip() == serialize(sample_sudoku(3, 3, 11), "single_line")
+    assert run(capsys, "sample", "--h", "3", "--w", "3", "--seed", "11", "--effort", "3")[0] == 0
+    assert budgets == [{}, {"effort": 3}]
 
 
 def test_sample_out_of_budget_exits_1(capsys):

@@ -67,30 +67,60 @@ def test_sampler_budget_exhaustion_raises():
         random_latin_square(5, 0, effort=0, restarts=2)
 
 
-def test_large_orders_run_out_of_budget_not_out_of_stack():
-    # the fill is iterative: order 33 needs 1089 levels
-    with pytest.raises(SampleError):
-        random_latin_square(33, 0, effort=1, restarts=1)
+def test_large_orders_fill_without_recursion():
+    # the fill is iterative: order 33 needs 1089 levels, beyond the
+    # interpreter's default recursion limit of 1000, and a budget of n^2
+    # nodes leaves no room to back up, so each level places its first option
+    square = random_latin_square(33, 0, effort=1, restarts=1)
+    assert square.order == 33
+    assert validate_latin(square.cells).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_order_37_latin_squares_are_quick_and_repeatable(seed):
+    square = random_latin_square(37, seed)
+    assert square.order == 37
+    assert random_latin_square(37, seed) == square
+
+
+def test_order_25_sudoku_squares_are_sampled():
+    square = sample_sudoku(5, 5, 0)
+    assert validate_sudoku(square.cells, BoxType(5, 5)).ok
+
+
+def test_order_36_sudoku_attempt_ends_within_its_budget():
+    try:
+        square = sample_sudoku(6, 6, 0, effort=2, restarts=1)
+    except SampleError:
+        return
+    assert validate_sudoku(square.cells, BoxType(6, 6)).ok
+
+
+def test_every_2x2_square_is_reached():
+    # the search gives every square positive probability: 5,000 draws at
+    # box type (2, 2) meet all 288 of its Sudoku squares
+    rng = np.random.default_rng(60)
+    assert len({sample_sudoku(2, 2, rng) for _ in range(5000)}) == 288
 
 
 def test_seeded_outputs_are_pinned():
     # recorded literals: a change here means the RNG draws moved
     assert sample_sudoku(2, 3, 42).cells.tolist() == [
-        [5, 0, 1, 3, 4, 2],
-        [3, 2, 4, 0, 5, 1],
-        [4, 5, 2, 1, 3, 0],
-        [1, 3, 0, 5, 2, 4],
-        [0, 4, 5, 2, 1, 3],
-        [2, 1, 3, 4, 0, 5],
+        [3, 1, 0, 2, 4, 5],
+        [2, 4, 5, 1, 0, 3],
+        [4, 0, 1, 3, 5, 2],
+        [5, 3, 2, 4, 1, 0],
+        [1, 5, 3, 0, 2, 4],
+        [0, 2, 4, 5, 3, 1],
     ]
     latin_7 = [
-        [1, 6, 0, 5, 3, 4, 2],
-        [5, 2, 6, 3, 4, 0, 1],
-        [6, 0, 1, 2, 5, 3, 4],
-        [2, 5, 4, 1, 0, 6, 3],
-        [3, 4, 5, 0, 2, 1, 6],
-        [4, 3, 2, 6, 1, 5, 0],
-        [0, 1, 3, 4, 6, 2, 5],
+        [3, 2, 4, 1, 0, 5, 6],
+        [6, 1, 3, 5, 2, 0, 4],
+        [1, 6, 0, 2, 5, 4, 3],
+        [0, 3, 5, 4, 1, 6, 2],
+        [4, 0, 1, 6, 3, 2, 5],
+        [2, 5, 6, 0, 4, 3, 1],
+        [5, 4, 2, 3, 6, 1, 0],
     ]
     assert random_latin_square(7, 42).cells.tolist() == latin_7
     # s = 45 at order 7 comes from the (1, 7) fixture, whatever the seed:
@@ -120,7 +150,7 @@ def test_every_sampler_shape_is_pinned_by_digest():
     squares += [random_latin_square(n, 0) for n in (1, 2, 5, 8, 13)]
     text = "\n".join(str(square.cells.tolist()) for square in squares)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5c0178f4cb6eb443f2f6aa361c3f47db6d4a7698f895e051bedff28611fddbfa")
+        "1bcc60234604d0a70348b854b08691c9f4eabab1df997416a4af184fdeb3cf38")
 
 
 @settings(max_examples=60, deadline=None)
