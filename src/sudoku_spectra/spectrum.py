@@ -32,7 +32,8 @@ h <= w and transposes it when h > w:
   |A ∩ B| = k*a + p*b + x.
 
 Each call memoizes its pairs in a ``PairCache``: the caller's, or a fresh
-one that lives as long as the call.
+one that lives as long as the call.  A file-backed cache is a journal that
+gains one JSON line per new pair.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -108,14 +108,20 @@ def _spectrum_message(value: int, n: int, allowed: frozenset[int], what: str) ->
     return msg
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
 class PairCache:
     """Memo cache for realized latin pairs, keyed by (order, target).
 
-    With a path, the cache round-trips through a canonical JSON file;
-    entries failing validation on load are dropped silently (the cache is
-    advisory, the constructions rebuild what it cannot supply).  A file
-    that is not a JSON object raises ParseError (kind "cache") and is left
-    as is.
+    With a path, the cache is an append-only journal: each put adds one
+    canonical JSON line ``{"w:s":[rows_a,rows_b]}``, so it costs one entry,
+    not the whole file.  Loading reads one or more whitespace-separated
+    JSON objects (a single object, as older versions wrote, is one) and
+    merges their entries in file order; entries failing validation are
+    dropped silently (the cache is advisory, the constructions rebuild
+    what it cannot supply).  Any other text, an empty file or a torn last
+    line included, raises ParseError (kind "cache") and is left as is.
     """
 
     def __init__(self, path: str | os.PathLike | None = None):
@@ -127,16 +133,22 @@ class PairCache:
 
     def _load(self) -> None:
         with open(self.path, "rb") as f:
-            text = f.read()
+            data = f.read()
+        decoder, objects = json.JSONDecoder(), []
         try:
-            raw = json.loads(text)
+            text = data.decode()
+            pos = _JSON_SPACE.match(text).end()
+            while not objects or pos < len(text):
+                raw, pos = decoder.raw_decode(text, pos)
+                objects.append(raw)
+                pos = _JSON_SPACE.match(text, pos).end()
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ParseError("cache", f"cache file {self.path} is not JSON: {exc}") from None
-        if not isinstance(raw, dict):
+        if not all(isinstance(raw, dict) for raw in objects):
             raise ParseError(
-                "cache", f'cache file {self.path} must hold a JSON object of "w:s" pair entries'
+                "cache", f'cache file {self.path} must hold JSON objects of "w:s" pair entries'
             )
-        for key, value in raw.items():
+        for key, value in (entry for raw in objects for entry in raw.items()):
             try:
                 w_str, s_str = key.split(":")
                 w, s = int(w_str), int(s_str)
@@ -147,30 +159,17 @@ class PairCache:
             except (ValueError, TypeError):
                 continue
 
-    def _save(self) -> None:
-        payload = {
-            f"{w}:{s}": [a.cells.tolist(), b.cells.tolist()]
-            for (w, s), (a, b) in sorted(self._mem.items())
-        }
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(canonical_json(payload))
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     def get(self, w: int, s: int) -> tuple[LatinSquare, LatinSquare] | None:
         with self._lock:
             return self._mem.get((w, s))
 
     def put(self, w: int, s: int, pair: tuple[LatinSquare, LatinSquare]) -> None:
+        a, b = pair
         with self._lock:
-            self._mem[(w, s)] = pair
             if self.path is not None:
-                self._save()
+                with open(self.path, "a") as f:
+                    f.write(f'{{"{w}:{s}":[{grid_json(a.cells)},{grid_json(b.cells)}]}}\n')
+            self._mem[(w, s)] = pair
 
     def __len__(self) -> int:
         with self._lock:

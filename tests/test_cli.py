@@ -54,10 +54,20 @@ def test_realize_cache_file_round_trip(tmp_path, capsys):
     args = ("realize", "--h", "2", "--w", "5", "--t", "73", "--cache", str(cache_path))
     rc, out, _ = run(capsys, *args)
     assert rc == 0 and out.strip() == "73"
-    first = json.loads(cache_path.read_text())
+    first = cache_path.read_bytes()
+    lines = first.decode().splitlines()
+    assert lines and all(isinstance(json.loads(line), dict) for line in lines)
     rc, out, _ = run(capsys, *args)  # second run hits the cache
     assert rc == 0 and out.strip() == "73"
-    assert json.loads(cache_path.read_text()) == first
+    assert cache_path.read_bytes() == first
+
+
+def test_realize_cache_in_a_missing_directory_names_the_path(tmp_path, capsys):
+    cache_path = tmp_path / "missing" / "cache.json"
+    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "5", "--t", "73",
+                       "--cache", str(cache_path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and str(cache_path) in err
 
 
 @pytest.mark.parametrize("text", ["[]", '{"4:16": 5}x'])

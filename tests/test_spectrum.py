@@ -206,6 +206,88 @@ def test_pair_cache_drops_bad_entries(tmp_path):
     assert cache.get(2, 4) is None
 
 
+def _entry_line(w, s, a, b):
+    return canonical_json({f"{w}:{s}": [a.cells.tolist(), b.cells.tolist()]}) + "\n"
+
+
+def test_pair_cache_appends_one_canonical_line_per_new_pair(tmp_path):
+    path = tmp_path / "pairs.json"
+    pairs = {(w, s): realize_latin_pair(w, s, cache=PairCache()) for w, s in [(4, 6), (5, 0)]}
+    cache = PairCache(path)
+    before = b""
+    for (w, s), (a, b) in pairs.items():
+        cache.put(w, s, (a, b))
+        data = path.read_bytes()
+        assert data.startswith(before)  # earlier bytes are never rewritten
+        assert data[len(before):].decode() == _entry_line(w, s, a, b)
+        before = data
+    reloaded = PairCache(path)
+    assert len(reloaded) == 2
+    assert all(reloaded.get(w, s) == pair for (w, s), pair in pairs.items())
+
+
+def test_pair_cache_hit_writes_nothing(tmp_path):
+    path = tmp_path / "pairs.json"
+    cache = PairCache(path)
+    pair = realize_latin_pair(4, 6, cache=cache)
+    data = path.read_bytes()
+    assert realize_latin_pair(4, 6, cache=cache) == pair
+    assert realize_latin_pair(4, 6, cache=PairCache(path)) == pair
+    assert path.read_bytes() == data
+
+
+def test_pair_caches_sharing_a_file_keep_each_others_entries(tmp_path):
+    path = tmp_path / "pairs.json"
+    first, second = PairCache(path), PairCache(path)
+    realize_latin_pair(4, 6, cache=first)
+    realize_latin_pair(5, 0, cache=second)
+    reloaded = PairCache(path)
+    assert reloaded.get(4, 6) == first.get(4, 6)
+    assert reloaded.get(5, 0) == second.get(5, 0)
+
+
+def test_pair_cache_loads_a_single_object_file_and_appends_after_it(tmp_path):
+    path = tmp_path / "pairs.json"
+    good_a = [[0, 1], [1, 0]]
+    good_b = [[1, 0], [0, 1]]
+    # one sorted-keys object with no trailing newline, as whole-file rewrites wrote it
+    legacy = canonical_json({"2:0": [good_a, good_b], "2:3": [good_a, good_b],
+                             "2:4": [good_a, good_a]})
+    path.write_text(legacy)
+    cache = PairCache(path)
+    assert len(cache) == 2 and cache.get(2, 3) is None
+    a, b = realize_latin_pair(4, 6, cache=PairCache())
+    cache.put(4, 6, (a, b))
+    assert path.read_text() == legacy + _entry_line(4, 6, a, b)
+    reloaded = PairCache(path)
+    assert len(reloaded) == 3
+    assert reloaded.get(2, 4) == cache.get(2, 4) and reloaded.get(4, 6) == (a, b)
+
+
+def test_pair_cache_rejects_a_torn_last_line(tmp_path):
+    path = tmp_path / "pairs.json"
+    cache = PairCache(path)
+    realize_latin_pair(4, 6, cache=cache)
+    data = path.read_bytes() + b'{"5:0":[[[0,1'
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        PairCache(path)
+    assert exc.value.kind == "cache"
+    assert path.read_bytes() == data
+
+
+def test_a_file_cache_gives_the_in_memory_pairs_at_order_13(tmp_path):
+    path = tmp_path / "pairs.json"
+    on_file, in_memory = PairCache(path), PairCache()
+    values = sorted(latin_spectrum(13))
+    for s in values:
+        pair = realize_latin_pair(13, s, cache=on_file)
+        assert pair == realize_latin_pair(13, s, cache=in_memory)
+    reloaded = PairCache(path)
+    assert len(reloaded) == len(in_memory) == 186
+    assert all(reloaded.get(13, s) == in_memory.get(13, s) for s in values)
+
+
 @pytest.mark.parametrize("data", [b"[1, 2]", b'"pairs"', b"{not json", b"\xff\x00\xfe", b""])
 def test_pair_cache_rejects_a_file_that_is_not_a_json_object(tmp_path, data):
     path = tmp_path / "pairs.json"
