@@ -192,6 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, low in (("steps", 0), ("threads", 1)):
+        if getattr(args, flag, low) < low:
+            parser.error(f"argument --{flag}: must be at least {low}, got {getattr(args, flag)}")
     try:
         return args.func(args)
     except (ValueError, OSError, SampleError) as exc:

@@ -9,7 +9,10 @@ ingredients, with rows and columns indexed by pairs (i, j) -> i*m + j:
   family member ``members[i1][k]`` fills that block, offset by k*m.
 
 ``sudoku_reorder`` permutes the rows of such a product so that the result
-is a Sudoku square of box type (n, m).
+is a Sudoku square of box type (n, m).  Products are built by one gather
+kernel: a cached table gives each cell its family slot, its position in
+that slot's member and its shift k*m (optionally with the reorder folded
+in), so any stack of products over one outer square is a single ``take``.
 
 Spectra: ``latin_spectrum(n)`` is the set of achievable intersection sizes
 of two order-n latin squares, ``sudoku_spectrum(h, w)`` the analogue for
@@ -23,7 +26,7 @@ flagged ``SeedRequired``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -50,12 +53,29 @@ def triangle_product(l: LatinSquare, members: Sequence[Sequence[LatinSquare]]) -
     orders = {sq.order if isinstance(sq, LatinSquare) else None for row in members for sq in row}
     if len(orders) != 1 or None in orders:
         raise MalformedInputError(f"family members must be LatinSquares of one order, got {orders}")
-    (m,) = orders
-    cells = np.array([[sq.cells for sq in row] for row in members])  # (n, n, m, m)
-    k = l.cells
-    # block (i1, i2) is member (i1, k) shifted by k*m, with k = l[i1, i2]
-    blocks = cells[np.arange(n)[:, None], k] + (k * m)[:, :, None, None]
-    return LatinSquare(blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m))
+    cells = np.array([[sq.cells] for row in members for sq in row])  # (n*n, 1, m, m)
+    return LatinSquare(_block_products(l, cells, range(n * n))[0])
+
+
+@lru_cache(maxsize=32)  # 8*(g + 2)*(n*m)^2 bytes a table: 21 MB for 32 at g = 2, order 144
+def _product_table(outer: LatinSquare, m: int, g: int, reorder: bool):
+    """Slot i1*n + k, flat position f*m*m + j1*m + j2 in a (g, m, m) member
+    stack and shift k*m of cell (i1*m + j1, i2*m + j2) of block product f of
+    ``outer`` with order-m members, k = outer[i1, i2], in Sudoku order if ``reorder``."""
+    n = outer.order
+    ci, cj = np.divmod(np.arange(n * m), m)
+    ri, rj = np.divmod(reorder_permutation(n, m), m) if reorder else (ci, cj)
+    k = outer.cells[ri[:, None], ci]
+    pos = np.arange(0, g * m * m, m * m)[:, None, None] + rj[:, None] * m + cj
+    return ri[:, None] * n + k, pos, k * m
+
+
+def _block_products(outer: LatinSquare, members: np.ndarray, slots, reorder=False) -> np.ndarray:
+    """The g block products of ``outer`` as one unchecked (g, n*m, n*m) gather,
+    slot s of product f being ``members[slots[s], f]`` of a (d, g, m, m) stack."""
+    _, g, m, _ = members.shape
+    slot, pos, shift = _product_table(outer, m, g, reorder)
+    return members.take((np.asarray(slots) * (g * m * m))[slot] + pos) + shift
 
 
 def reorder_permutation(n: int, m: int) -> np.ndarray:

@@ -116,18 +116,19 @@ class BoxType:
 
 
 def _box_lines(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
-    """The boxes of an order-n grid as the rows of an (n, n) array, box
-    (p, q) at row p*h + q, the order of ``BoxType.boxes``."""
+    """The boxes of an order-n grid (of each grid of a stack) as rows of an
+    (n, n) array, box (p, q) at row p*h + q, the order of ``BoxType.boxes``."""
     h, w = box_type.h, box_type.w
-    return grid.reshape(w, h, h, w).transpose(0, 2, 1, 3).reshape(h * w, h * w)
+    return grid.reshape(*grid.shape[:-2], w, h, h, w).swapaxes(-3, -2).reshape(grid.shape)
 
 
 @lru_cache(maxsize=64)
-def _line_keys(n: int, box_type: BoxType | None, rows_and_columns: bool):
-    """Flat cell positions of the lines to check (rows, columns, then
-    boxes, stacked as a (k, n) array) and each position's line offset k*n."""
-    cells = np.arange(n * n).reshape(n, n)
-    lines = [cells, cells.T] if rows_and_columns else []
+def _line_keys(shape: tuple[int, ...], box_type: BoxType | None, rows_and_columns: bool):
+    """Flat cell positions of the lines to check in a grid or stack of grids
+    (rows, columns, then boxes, as an (l, n) array) and their offsets l*n."""
+    n = shape[-1]
+    cells = np.arange(np.prod(shape)).reshape(-1, n, n)
+    lines = [cells, cells.swapaxes(1, 2)] if rows_and_columns else []
     if box_type is not None:
         lines.append(_box_lines(cells, box_type))
     positions = np.concatenate(lines).ravel()
@@ -139,9 +140,9 @@ def _line_keys(n: int, box_type: BoxType | None, rows_and_columns: bool):
 def _lines_are_permutations(
     grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
 ) -> bool:
-    """True iff every checked line holds each symbol 0..n-1 once: a single
-    bincount over (line, symbol) keys must leave no bin empty."""
-    positions, offsets = _line_keys(grid.shape[0], box_type, rows_and_columns)
+    """True iff every checked line (of every grid of a stack) holds each
+    symbol 0..n-1 once: one bincount over (line, symbol) keys fills every bin."""
+    positions, offsets = _line_keys(grid.shape, box_type, rows_and_columns)
     keys = grid.ravel()[positions] + offsets
     return np.count_nonzero(np.bincount(keys)) == keys.size
 
@@ -149,19 +150,20 @@ def _lines_are_permutations(
 def _first_violation(
     grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
 ) -> Violation:
-    """The first repeat in row, column, box order.  Runs only after the
-    vectorized check failed, so the reports match the line-by-line scan."""
-    lines = []
-    if rows_and_columns:
-        lines += [("row", (i,), line) for i, line in enumerate(grid)]
-        lines += [("column", (j,), line) for j, line in enumerate(grid.T)]
-    if box_type is not None:
-        boxes = _box_lines(grid, box_type)
-        lines += [("box", pq, line) for pq, line in zip(box_type.boxes(), boxes)]
-    for kind, where, line in lines:
-        dup = _first_duplicate(line)
-        if dup is not None:
-            return Violation(kind, where, dup)
+    """The first repeat in row, column, box order, in a stack's first bad grid.
+    Runs only after the vectorized check failed, so reports match a scan."""
+    for square in grid.reshape(-1, *grid.shape[-2:]):
+        lines = []
+        if rows_and_columns:
+            lines += [("row", (i,), line) for i, line in enumerate(square)]
+            lines += [("column", (j,), line) for j, line in enumerate(square.T)]
+        if box_type is not None:
+            boxes = _box_lines(square, box_type)
+            lines += [("box", pq, line) for pq, line in zip(box_type.boxes(), boxes)]
+        for kind, where, line in lines:
+            dup = _first_duplicate(line)
+            if dup is not None:
+                return Violation(kind, where, dup)
     raise AssertionError("vectorized check failed but no line repeats a symbol")
 
 
@@ -169,10 +171,10 @@ def _check_lines(
     grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
 ) -> ValidationReport:
     """The line check behind both validators and both constructors, on a
-    grid already coerced by ``as_grid`` (or a LatinSquare's cells)."""
-    if box_type is not None and grid.shape[0] != box_type.n:
+    grid (or (k, n, n) stack) already coerced by ``as_grid``, or a LatinSquare's cells."""
+    if box_type is not None and grid.shape[-1] != box_type.n:
         raise MalformedInputError(
-            f"grid order {grid.shape[0]} does not match box type {box_type.h}x{box_type.w}"
+            f"grid order {grid.shape[-1]} does not match box type {box_type.h}x{box_type.w}"
         )
     if _lines_are_permutations(grid, box_type, rows_and_columns):
         return ValidationReport(True)
@@ -274,6 +276,26 @@ class SudokuSquare:
         object.__setattr__(self, "square", square)
         object.__setattr__(self, "box_type", box_type)
 
+    @classmethod
+    def _from_checked(cls, grid: np.ndarray, box_type: BoxType) -> "SudokuSquare":
+        """Wrap an int64 grid known to satisfy ``box_type``, unchecked."""
+        square = object.__new__(cls)
+        object.__setattr__(square, "square", LatinSquare._from_checked(grid))
+        object.__setattr__(square, "box_type", box_type)
+        return square
+
+    @classmethod
+    def _all_checked(cls, grids, box_type: BoxType) -> list["SudokuSquare"]:
+        """``[SudokuSquare(g, box_type) for g in grids]`` from one stacked check (an
+        int64 (k, n, n) array counts as coerced); on any failure, built one by one."""
+        try:
+            stack = grids if isinstance(grids, np.ndarray) else np.stack([as_grid(g) for g in grids])
+            if _check_lines(stack, box_type).ok:
+                return [cls._from_checked(grid, box_type) for grid in stack]
+        except ValueError:  # a grid that does not coerce, or grids of two shapes
+            pass
+        return [cls(g, box_type) for g in grids]  # raises what SudokuSquare raises
+
     def __setattr__(self, name, value):
         raise AttributeError("SudokuSquare is immutable")
 
@@ -291,10 +313,7 @@ class SudokuSquare:
     def transposed(self) -> "SudokuSquare":
         """The transpose, of the transposed box type.  Transposing keeps
         rows, columns and boxes whole, so nothing is checked again."""
-        square = object.__new__(SudokuSquare)
-        object.__setattr__(square, "square", LatinSquare._from_checked(self.cells.T))
-        object.__setattr__(square, "box_type", self.box_type.transposed())
-        return square
+        return SudokuSquare._from_checked(self.cells.T, self.box_type.transposed())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SudokuSquare):

@@ -9,10 +9,11 @@ h <= w and transposes it when h > w:
 * at box width 4, the three targets n^2-6, n^2-9, n^2-11 have no product
   decomposition and also come from seeds;
 * everything else splits t into h*h order-w latin targets
-  (``decompose_target``) realized by ``realize_latin_pair``, assembled
-  with the block product over a common outer square, and reordered into
-  Sudoku form.  Intersections add across family slots, so the assembled
-  pair meets the target exactly; the result is re-verified anyway.
+  (``decompose_target``) realized by ``realize_latin_pair``.  Both squares
+  are gathered at once by construct's block-product kernel over the cyclic
+  outer square, rows already in Sudoku form, and checked in one stacked
+  pass.  Intersections add across family slots, so the pair meets the
+  target exactly; the result is re-verified anyway.
 
 ``realize_latin_pair(w, s)`` never searches, and its pair depends on
 (w, s) alone:
@@ -48,12 +49,11 @@ import numpy as np
 
 from .construct import (
     SeedRequired,
+    _block_products,
     decompose_target,
     forbidden_values,
     latin_spectrum,
     sudoku_spectrum,
-    sudoku_reorder,
-    triangle_product,
 )
 from .core import (
     BoxType,
@@ -312,14 +312,13 @@ class RealizationCertificate:
         fields = _canonical_certificate(text) if isinstance(text, str) else None
         if fields is None:
             fields = _certificate_fields(text)
-        h, w, target, method, rows_a, rows_b = fields
+        h, w, target, method, grids = fields
         if h < 2 or w < 2:
             raise ParseError("certificate", "certificate fields 'h' and 'w' must be at least 2")
         if method not in ("seed", "product"):
             raise ParseError("certificate", "certificate field 'method' must be seed or product")
-        box = BoxType(h, w)
         try:
-            a, b = SudokuSquare(rows_a, box), SudokuSquare(rows_b, box)
+            a, b = SudokuSquare._all_checked(grids, BoxType(h, w))
         except MalformedInputError as exc:  # not an order h*w grid of symbols
             raise ParseError("certificate", f"certificate grid: {exc}") from None
         cert = cls(a, b, target, method)
@@ -337,8 +336,8 @@ _CANONICAL_CERTIFICATE = re.compile(
 
 def _canonical_certificate(text: str):
     """The fields of a certificate in exactly the form ``to_json`` writes
-    (or ``realize --out``, which adds a newline), each grid an array, or
-    None for any other text."""
+    (or ``realize --out``, which adds a newline), the grids as one coerced
+    (2, n, n) array, or None for any other text."""
     match = _CANONICAL_CERTIFICATE.fullmatch(text)
     if match is None:
         return None
@@ -347,7 +346,7 @@ def _canonical_certificate(text: str):
     grid_a, grid_b = grid_from_json(text_a, n), grid_from_json(text_b, n)
     if grid_a is None or grid_b is None:
         return None
-    return int(h), int(w), int(target), method, grid_a, grid_b
+    return int(h), int(w), int(target), method, np.stack([grid_a, grid_b])
 
 
 def _certificate_fields(text):
@@ -363,7 +362,7 @@ def _certificate_fields(text):
         # bool is an int subclass, but JSON true/false is not a number
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ParseError("certificate", f"certificate field {key!r} must be {name}")
-    return obj["h"], obj["w"], obj["target"], obj["method"], obj["a"], obj["b"]
+    return obj["h"], obj["w"], obj["target"], obj["method"], [obj["a"], obj["b"]]
 
 
 def realize_sudoku_pair(
@@ -396,12 +395,12 @@ def realize_sudoku_pair(
         if cache is None:
             cache = PairCache()  # shared by the slots of this target
         # at most four distinct parts: w^2, the residue, 0, or w^2-6 and the rest
-        distinct = {part: realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db)
-                    for part in dict.fromkeys(dec.parts)}
-        pairs = [distinct[part] for part in dec.parts]  # row-major: part i*hh + k fills slot (i, k)
-        outer, bundles = cyclic_square(hh), range(0, hh * hh, hh)
-        a, b = (sudoku_reorder(triangle_product(outer, [side[i:i + hh] for i in bundles]), hh, ww)
-                for side in zip(*pairs))
+        parts = list(dict.fromkeys(dec.parts))
+        pairs = [realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db) for part in parts]
+        # row-major: part i*hh + k fills slot (i, k) of both squares, rows reordered
+        grids = _block_products(cyclic_square(hh), np.array([[x.cells, y.cells] for x, y in pairs]),
+                                [parts.index(part) for part in dec.parts], reorder=True)
+        a, b = SudokuSquare._all_checked(grids, BoxType(hh, ww))
         method = "product"
     if (hh, ww) != (h, w):
         a, b = a.transposed(), b.transposed()

@@ -237,6 +237,27 @@ def test_sample_out_of_budget_exits_1(capsys):
     assert err.startswith("error: failed to sample a (2, 3) Sudoku square")
 
 
+@pytest.mark.parametrize("argv, flag, low", [
+    (["sample", "--h", "2", "--w", "3", "--steps", "-1"], "--steps", 0),
+    (["spectrum", "--h", "2", "--w", "2", "--mode", "brute", "--threads", "0"], "--threads", 1),
+    (["spectrum", "--h", "2", "--w", "2", "--mode", "brute", "--threads", "-3"], "--threads", 1),
+], ids=["steps-negative", "threads-zero", "threads-negative"])
+def test_counts_below_their_floor_are_usage_errors(capsys, argv, flag, low):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least {low}, got {argv[-1]}" in captured.err
+
+
+def test_counts_at_their_floor_are_accepted(capsys):
+    rc, out, _ = run(capsys, "sample", "--h", "2", "--w", "2", "--seed", "1", "--steps", "0")
+    assert rc == 0 and out.strip() == serialize(sample_sudoku(2, 2, 1), "single_line")
+    rc, out, _ = run(capsys, "spectrum", "--h", "2", "--w", "2", "--mode", "brute", "--threads", "1")
+    assert rc == 0 and out.split() == "0 1 2 3 4 6 8 9 12 16".split()
+
+
 @pytest.mark.parametrize("argv", [
     # every pair is built without randomness, so there is nothing to seed
     ["realize", "--h", "2", "--w", "3", "--t", "19", "--seed", "5"],

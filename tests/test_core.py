@@ -239,7 +239,8 @@ def test_each_built_square_is_checked_once(monkeypatch):
     check_lines, as_grid = core._check_lines, core.as_grid
 
     def counted_check(grid, box_type, *args):
-        checks.append("latin" if box_type is None else "sudoku")
+        kind = "latin" if box_type is None else "sudoku"
+        checks.append(kind if grid.ndim == 2 else f"{kind} x{grid.shape[0]}")
         return check_lines(grid, box_type, *args)
 
     def counted_coercion(rows):
@@ -267,17 +268,21 @@ def test_each_built_square_is_checked_once(monkeypatch):
     assert checks_made_by(lambda: validate_latin(s.cells))[1] == ["as_grid", "latin"]
     assert checks_made_by(s.transposed)[1] == []
     text = RealizationCertificate(s, s, 36, "product").to_json()
-    made = checks_made_by(lambda: RealizationCertificate.from_json(text))[1]
-    assert made == ["as_grid", "sudoku"] * 2
+    # one check covers both grids; canonical text is parsed straight into
+    # a coerced stack, any other JSON is coerced grid by grid
+    assert checks_made_by(lambda: RealizationCertificate.from_json(text))[1] == ["sudoku x2"]
+    spaced = text.replace(",", ", ")
+    made = checks_made_by(lambda: RealizationCertificate.from_json(spaced))[1]
+    assert made == ["as_grid", "as_grid", "sudoku x2"]
 
-    # a warm product target of order n: the outer square's rows and columns
-    # once, each product's rows and columns once, and its boxes once
+    # a warm product target of order n: each product's rows, columns and
+    # boxes once, in one stacked check, and no check of the outer square
     lines = []
     check = core._lines_are_permutations
 
     def counted_lines(grid, box_type, rows_and_columns=True):
-        n = grid.shape[0]
-        lines.append(2 * n * rows_and_columns + n * (box_type is not None))
+        grids, n = (grid.shape[0] if grid.ndim == 3 else 1), grid.shape[-1]
+        lines.append(grids * (2 * n * rows_and_columns + n * (box_type is not None)))
         return check(grid, box_type, rows_and_columns)
 
     monkeypatch.setattr(core, "_lines_are_permutations", counted_lines)
@@ -286,4 +291,4 @@ def test_each_built_square_is_checked_once(monkeypatch):
         realize_sudoku_pair(h, w, 300, cache=cache)
         lines.clear()
         realize_sudoku_pair(h, w, 300, cache=cache)
-        assert sum(lines) <= 6 * h * w + 2 * min(h, w)
+        assert sum(lines) == 6 * h * w

@@ -1,5 +1,6 @@
 """Realizing prescribed intersection values."""
 
+import hashlib
 import json
 import re
 import sys
@@ -13,7 +14,14 @@ from hypothesis import strategies as st
 
 from sudoku_spectra import markov, spectrum
 from sudoku_spectra.construct import latin_spectrum, sudoku_spectrum
-from sudoku_spectra.core import BoxType, intersection_size, validate_latin
+from sudoku_spectra.core import (
+    BoxType,
+    SudokuSquare,
+    ValidationError,
+    Violation,
+    intersection_size,
+    validate_latin,
+)
 from sudoku_spectra.formats import ParseError, canonical_json
 from sudoku_spectra.seeds import DATABASE
 from sudoku_spectra.spectrum import (
@@ -523,6 +531,81 @@ def test_certificate_from_json_tags_malformed_payloads(mutate):
     with pytest.raises(ParseError) as exc:
         RealizationCertificate.from_json(mutate(obj))
     assert exc.value.kind == "certificate"
+
+
+def _repeat_in_row(rows):
+    rows[0][0] = rows[0][1]
+
+
+def _repeat_in_column(rows):
+    rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+
+
+def _repeat_in_box_only(rows):
+    rows[1], rows[2] = rows[2], rows[1]  # a row swap across bands keeps the square latin
+
+
+@pytest.mark.parametrize("side, spoil, kind", [
+    ("a", _repeat_in_row, "row"),
+    ("a", _repeat_in_column, "column"),
+    ("b", _repeat_in_box_only, "box"),
+    ("b", lambda rows: rows.pop(), None),
+    ("b", lambda rows: [row.pop() for row in rows[2:]], None),
+], ids=["a-row", "a-column", "b-box", "b-short", "b-ragged"])
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "spaced"])
+def test_certificate_rejections_match_the_square_constructor(side, spoil, kind, canonical):
+    obj = json.loads(realize_sudoku_pair(2, 3, 10).to_json())
+    spoil(obj[side])
+    with pytest.raises(ValueError) as built:
+        SudokuSquare(obj[side], BoxType(2, 3))
+    assert getattr(built.value, "violation", Violation(None, (), 0)).kind == kind
+    expected = type(built.value), str(built.value)
+    if kind is None:  # a malformed grid is tagged, as before
+        expected = ParseError, f"certificate grid: {built.value}"
+    text = canonical_json(obj) if canonical else json.dumps(obj)
+    # canonical text of two order-6 grids takes the stacked fast path
+    assert (spectrum._canonical_certificate(text) is not None) == (canonical and kind is not None)
+    with pytest.raises(ValueError) as read:
+        RealizationCertificate.from_json(text)
+    assert (type(read.value), str(read.value)) == expected
+
+
+def test_a_corrupted_product_cell_is_rejected(monkeypatch):
+    gather = spectrum._block_products
+    built = []
+
+    def corrupt_b(*args, **kwargs):
+        grids = gather(*args, **kwargs)
+        n = grids.shape[-1]
+        grids[1, 2, 3] = (grids[1, 2, 3] + 1) % n
+        built.append(grids[1].copy())
+        return grids
+
+    monkeypatch.setattr(spectrum, "_block_products", corrupt_b)
+    for h, w in [(3, 4), (4, 3)]:
+        with pytest.raises(ValidationError) as exc:
+            realize_sudoku_pair(h, w, 70)
+        with pytest.raises(ValidationError) as alone:
+            SudokuSquare(built[-1], BoxType(min(h, w), max(h, w)))
+        assert (type(exc.value), str(exc.value)) == (type(alone.value), str(alone.value))
+
+
+# box types of the realize-sweep benchmark workload; each is followed by
+# its transpose when that differs
+SWEEP_TYPES = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4),
+               (2, 5), (3, 5), (5, 5), (4, 5), (4, 6), (6, 6)]
+SWEEP_SHA256 = "811d79501d3bf5e77306661d48526ba5df0510bce07ac12bc9fe5a7b454baa17"
+
+
+def test_certificates_of_the_sweep_types_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for h, w in SWEEP_TYPES:
+        for box in dict.fromkeys([(h, w), (w, h)]):
+            for t in sorted(sudoku_spectrum(*box)):
+                digest.update(realize_sudoku_pair(*box, t).to_json().encode())
+                count += 1
+    assert count == 5304
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 def test_certificate_catches_box_type_mismatch():
