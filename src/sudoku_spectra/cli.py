@@ -90,7 +90,7 @@ def cmd_spectrum(args) -> int:
         print(_fmt_values(values))
         return 0
     if args.mode == "brute":
-        report = brute_force_spectrum(args.h, args.w, jobs=args.threads)
+        report = brute_force_spectrum(args.h, args.w)
         print(_fmt_values(report.values))
         print(
             f"# {report.total_count} squares, {report.canonical_count} up to relabelling, "
@@ -167,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="theorem",
         help="closed form, exhaustive enumeration, or seed-fixture witnesses",
     )
-    p.add_argument("--threads", type=int, default=1,
-                   help="threads sharing the --mode brute sweep over orbit representatives")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sample", help="print a random Sudoku square")
@@ -192,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, low in (("steps", 0), ("threads", 1)):
-        if getattr(args, flag, low) < low:
-            parser.error(f"argument --{flag}: must be at least {low}, got {getattr(args, flag)}")
+    if getattr(args, "steps", 0) < 0:
+        parser.error(f"argument --steps: must be at least 0, got {args.steps}")
     try:
         return args.func(args)
     except (ValueError, OSError, SampleError) as exc:

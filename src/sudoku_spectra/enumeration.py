@@ -11,14 +11,15 @@ On a 2-core Xeon VM it lists the 39,168 canonical (2, 3) squares in about
 Squares are enumerated up to symbol relabelling (first row 0..n-1); every
 square is some relabelling pi of a canonical square C, and
 |A ∩ (pi of C)| = sum over symbols t of m[t, pi(t)] where m counts cells
-of A holding pi(t) at positions where C holds t.  The kernel takes all
-of these as one product of the (N, n*n) counts with an (n*n, n!) 0/1
-selector.  Intersection sizes are invariant when both squares get the
-same row permutation, column permutation, or transpose, and
-validity-preserving choices of those map the enumerated family onto
-itself, so the left square A only needs to range over orbit
-representatives of that action.  The test suite checks the reduced
-sweep against an all-pairs comparison of every square.
+of A holding pi(t) at positions where C holds t.  The kernel streams the
+(A, C) pairs in chunks of about 2^20 values: one product of a chunk's
+(pairs, n*n) counts with an (n*n, n!) 0/1 selector gives all of its
+values, so memory stays bounded at every size.  Intersection sizes are
+invariant when both squares get the same row permutation, column
+permutation, or transpose, and validity-preserving choices of those map
+the enumerated family onto itself, so the left square A only needs to
+range over orbit representatives of that action.  The test suite checks
+the reduced sweep against an all-pairs comparison of every square.
 
 A latin square is box type (1, n): its boxes are its rows, so one
 enumerator, one position group and one sweep serve both kinds of square.
@@ -26,7 +27,6 @@ enumerator, one position group and one sweep serve both kinds of square.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Container
 from dataclasses import dataclass
 from functools import cache
 
@@ -36,6 +36,7 @@ from .core import BoxType, SudokuSquare, intersection_size
 
 MAX_LATIN_ORDER = 5
 MAX_SUDOKU_ORDER = 6
+_CHUNK_VALUES = 1 << 20  # agreement values per chunk of the sweep: bounds its memory
 
 
 def _fill_squares(n: int, group_of: list[int], first_row_fixed: bool) -> np.ndarray:
@@ -149,24 +150,33 @@ def _symbol_selector(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, selector
 
 
-def _sweep_one(rep: np.ndarray, canon: np.ndarray, n: int,
-               known: Container[int]) -> dict[int, tuple[int, int]]:
-    """Intersection values of one fixed square against every relabelling
-    of every canonical square.  Returns value -> (canonical index, perm
-    index of ``_symbol_selector(n)``) for the first witness of each value
-    not in ``known``."""
+def _sweep(lefts: np.ndarray, canon: np.ndarray, n: int) -> dict[int, tuple[int, int, int]]:
+    """Intersection values of each left square (uint8 rows) against every
+    relabelling of every canonical square, in chunks of ``_CHUNK_VALUES``.
+    Returns value -> (left index, canonical index, perm index of
+    ``_symbol_selector(n)``) of each value's first witness in that order."""
     perms, selector = _symbol_selector(n)
-    big = len(canon)
-    key = (np.arange(big, dtype=np.int64)[:, None] * n + canon.astype(np.int64)) * n + rep.astype(np.int64)[None, :]
-    m = np.bincount(key.ravel(), minlength=big * n * n).reshape(big, n * n).astype(np.float32)
-    # float32 sums of at most n*n ones are exact
-    vals = (m @ selector).astype(np.uint8).ravel()
-    present = np.zeros(n * n + 1, dtype=bool)  # not np.bincount: it copies vals to int64
-    present[vals] = True
-    found: dict[int, tuple[int, int]] = {}
-    for v in np.flatnonzero(present).tolist():
-        if v not in known:
-            found[v] = divmod(int(np.argmax(vals == v)), len(perms))
+    rows = max(1, _CHUNK_VALUES // len(perms))
+    pairs = len(lefts) * len(canon)
+    wanted = list(range(n * n + 1))
+    found: dict[int, tuple[int, int, int]] = {}
+    for start in range(0, pairs, rows):
+        pair = np.arange(start, min(start + rows, pairs))
+        left, right = np.divmod(pair, len(canon))
+        # the chunk's i-th pair counts symbol t of its canonical square
+        # against symbol s of its left square at key (i*n + t)*n + s
+        key = canon[right].astype(np.int64) * n + lefts[left] + ((pair - start) * n * n)[:, None]
+        m = np.bincount(key.ravel(), minlength=key.size).reshape(key.shape).astype(np.float32)
+        # float32 sums of at most n*n ones are exact
+        vals = (m @ selector).astype(np.uint8).ravel()
+        # a scan per value still wanted beats a histogram once most are found
+        for v in wanted:
+            hit = vals == v
+            first = int(np.argmax(hit))
+            if hit[first]:
+                i, p = divmod(first, len(perms))
+                found[v] = (int(left[i]), int(right[i]), p)
+        wanted = [v for v in wanted if v not in found]
     return found
 
 
@@ -183,7 +193,7 @@ class SpectrumReport:
     orbit_count: int
 
 
-def brute_force_spectrum(h: int, w: int, *, jobs: int = 1) -> SpectrumReport:
+def brute_force_spectrum(h: int, w: int) -> SpectrumReport:
     """Exact I(h, w) by enumeration, with re-verified witnesses, for latin
     orders (h or w = 1) up to 5 and box orders up to 6."""
     box = BoxType(h, w)
@@ -201,28 +211,8 @@ def brute_force_spectrum(h: int, w: int, *, jobs: int = 1) -> SpectrumReport:
     def to_rows(flat: np.ndarray) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(v) for v in row) for row in flat.reshape(n, n))
 
-    # Results are merged in representative order, so a worker that skips a
-    # value already in ``witnesses`` skips it only for an earlier
-    # representative's witness, and any ``jobs`` gives the same report.
-    witnesses = {}
-
-    def work(rep_idx: int) -> dict[int, tuple[int, int]]:
-        return _sweep_one(canon[rep_idx], canon, n, witnesses)
-
-    def merge(results) -> None:
-        for rep_idx, found in zip(reps, results):
-            for v, (k, p) in found.items():
-                if v not in witnesses:
-                    b_flat = perms[p][canon[k]].astype(np.uint8)
-                    witnesses[v] = (to_rows(canon[rep_idx]), to_rows(b_flat))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            merge(pool.map(work, reps))
-    else:
-        merge(map(work, reps))
+    witnesses = {v: (to_rows(canon[reps[r]]), to_rows(perms[p][canon[k]]))
+                 for v, (r, k, p) in _sweep(canon[reps], canon, n).items()}
     for v, (a_rows, b_rows) in witnesses.items():
         actual = intersection_size(SudokuSquare(a_rows, box), SudokuSquare(b_rows, box))
         if actual != v:
@@ -231,6 +221,6 @@ def brute_force_spectrum(h: int, w: int, *, jobs: int = 1) -> SpectrumReport:
                           witnesses, len(reps))
 
 
-def brute_force_latin_spectrum(n: int, *, jobs: int = 1) -> SpectrumReport:
+def brute_force_latin_spectrum(n: int) -> SpectrumReport:
     """Exact I(n) by enumeration, for n <= 5: the spectrum of box type (1, n)."""
-    return brute_force_spectrum(1, n, jobs=jobs)
+    return brute_force_spectrum(1, n)

@@ -92,9 +92,17 @@ def parse_json(text: str) -> SudokuSquare:
         raise ParseError("json", '"h" and "w" must be positive integers')
     box = BoxType(h, w)
     rows = obj["rows"]
-    if not isinstance(rows, list):
-        raise ParseError("json", '"rows" must be a list of rows')
-    return SudokuSquare(rows, box)
+    if not isinstance(rows, list) or holds_json_boolean(rows):
+        raise ParseError("json", '"rows" must be a list of rows of integers')
+    try:
+        return SudokuSquare(rows, box)
+    except MalformedInputError as exc:  # not an order h*w grid of symbols
+        raise ParseError("json", f'"rows": {exc}') from None
+
+
+def holds_json_boolean(rows: list) -> bool:
+    """Whether JSON rows hold true or false, which numpy reads as 1 and 0."""
+    return any(bool in map(type, row) for row in rows if isinstance(row, list))
 
 
 def parse(text: str, box_type: BoxType, style: str) -> SudokuSquare:

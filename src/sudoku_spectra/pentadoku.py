@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .core import LatinSquare
-from .enumeration import _fill_squares, _sweep_one
+from .enumeration import _fill_squares, _sweep
 
 SIZE = 5
 
@@ -215,6 +215,11 @@ def enumerate_tilings() -> tuple[Tiling, ...]:
     )
 
 
+def _cage_solutions(tiling: Tiling, up_to_relabelling: bool = True) -> np.ndarray:
+    """``solve_cage_latin``'s squares as the rows of an (N, 25) uint8 array."""
+    return _fill_squares(SIZE, [v for row in tiling.grid for v in row], up_to_relabelling)
+
+
 def solve_cage_latin(tiling: Tiling, up_to_relabelling: bool = True) -> tuple[LatinSquare, ...]:
     """All latin squares whose cages each hold all five symbols.
 
@@ -222,25 +227,21 @@ def solve_cage_latin(tiling: Tiling, up_to_relabelling: bool = True) -> tuple[La
     giving exactly one solution per relabelling class (the symbol group
     acts freely); multiply counts by 120 for raw solutions.
     """
-    cage_of = [v for row in tiling.grid for v in row]
-    solutions = _fill_squares(SIZE, cage_of, up_to_relabelling)
+    solutions = _cage_solutions(tiling, up_to_relabelling)
     return tuple(LatinSquare(flat.reshape(SIZE, SIZE)) for flat in solutions)
 
 
-def tiling_spectrum(tiling: Tiling, solutions: tuple[LatinSquare, ...] | None = None) -> frozenset[int]:
-    """Intersection sizes over all ordered pairs of raw solutions.
+def tiling_spectrum(tiling: Tiling, solutions: np.ndarray | None = None) -> frozenset[int]:
+    """Intersection sizes over all ordered pairs of raw solutions, from the
+    canonical solutions as an (N, 25) uint8 array (solved when not given).
 
     One side ranges over canonical solutions only: relabelling both
     squares together is intersection-preserving, so every pair is
     equivalent to one with a canonical left square.
     """
     if solutions is None:
-        solutions = solve_cage_latin(tiling)
-    canon = np.array([sol.cells.ravel() for sol in solutions], dtype=np.uint8)
-    values: dict[int, tuple[int, int]] = {}
-    for a in canon:
-        values.update(_sweep_one(a, canon, SIZE, values))
-    return frozenset(values)
+        solutions = _cage_solutions(tiling)
+    return frozenset(_sweep(solutions, solutions, SIZE))
 
 
 FULL_SPECTRUM = frozenset(range(SIZE * SIZE - 5)) | {SIZE * SIZE - 4, SIZE * SIZE}
@@ -266,8 +267,8 @@ class TilingClass:
 
 
 def classify_tiling(tiling: Tiling) -> TilingClass:
-    solutions = solve_cage_latin(tiling)
-    if not solutions:
+    solutions = _cage_solutions(tiling)
+    if not len(solutions):
         return TilingClass(tiling, 0, frozenset(), "unsolvable")
     spectrum = tiling_spectrum(tiling, solutions)
     if len(solutions) == 1:

@@ -63,7 +63,7 @@ from .core import (
     cyclic_square,
     intersection_size,
 )
-from .formats import ParseError, canonical_json, grid_from_json, grid_json
+from .formats import ParseError, canonical_json, grid_from_json, grid_json, holds_json_boolean
 from .seeds import DATABASE, SeedDatabase
 
 
@@ -362,7 +362,10 @@ def _certificate_fields(text):
         # bool is an int subclass, but JSON true/false is not a number
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ParseError("certificate", f"certificate field {key!r} must be {name}")
-    return obj["h"], obj["w"], obj["target"], obj["method"], [obj["a"], obj["b"]]
+    grids = [obj["a"], obj["b"]]
+    if any(map(holds_json_boolean, grids)):
+        raise ParseError("certificate", "certificate grid: true or false is not a symbol")
+    return obj["h"], obj["w"], obj["target"], obj["method"], grids
 
 
 def realize_sudoku_pair(

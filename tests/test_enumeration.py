@@ -9,8 +9,6 @@ import pytest
 from sudoku_spectra import enumeration
 from sudoku_spectra.core import (
     BoxType,
-    SudokuSquare,
-    intersection_size,
     validate_latin,
     validate_sudoku,
 )
@@ -102,17 +100,6 @@ def test_orbit_sweep_matches_all_pairs_oracle():
     for h, w in [(1, 3), (1, 4), (2, 2)]:
         report = brute_force_spectrum(h, w)
         assert (report.values, report.total_count) == _all_pairs_spectrum(h, w)
-
-
-def test_threaded_sweep_matches_sequential():
-    for h, w in [(2, 2), (1, 4)]:
-        one, two = brute_force_spectrum(h, w, jobs=1), brute_force_spectrum(h, w, jobs=2)
-        assert one.values == two.values
-        assert set(two.witnesses) == set(two.values)
-        assert one.witnesses == two.witnesses
-        for v, (a_rows, b_rows) in two.witnesses.items():
-            a, b = SudokuSquare(a_rows, BoxType(h, w)), SudokuSquare(b_rows, BoxType(h, w))
-            assert intersection_size(a, b) == v
 
 
 def test_witnesses_round_trip():
@@ -223,10 +210,22 @@ REPORT_SHA256 = {
     (1, 5): "67d0e74a9577e5a3b9be094332bf980dcb5660d1a08544f25cb9d7c348bcdc61",
     (2, 2): "67da2e6cc65b4b2a0918c436cc5df2e56779cee73433e19b9b874e377f0d26d9",
 }
+REPORT_2X3_SHA256 = "23f84bfcace3bcd19f5515ce8d3479b3360b050d554e0d25dc2e6b1ac19145c4"
 SQUARES_2X3_SHA256 = "5a0c1816ba4b3de1f6b08998f6a8a6687e84dedb8956d77a3ef1e0f6e4c53ca9"
 
 
-def test_brute_force_reports_and_2x3_squares_are_pinned():
+# at 130 values a chunk, (1, 5) goes one pair at a time, and (1, 4) and
+# (2, 2) go in chunks of five pairs that span representatives, the last short
+@pytest.mark.parametrize("chunk_values", [enumeration._CHUNK_VALUES, 130],
+                         ids=["default-chunks", "tiny-chunks"])
+def test_brute_force_reports_and_2x3_squares_are_pinned(monkeypatch, chunk_values):
+    monkeypatch.setattr(enumeration, "_CHUNK_VALUES", chunk_values)
     assert {hw: _report_digest(brute_force_spectrum(*hw)) for hw in REPORT_SHA256} == REPORT_SHA256
     squares = enumerate_squares(6, BoxType(2, 3))
     assert hashlib.sha256(squares.tobytes()).hexdigest() == SQUARES_2X3_SHA256
+
+
+def test_2x3_report_is_pinned(sudoku_23_report):
+    # 49 representatives by 39,168 squares in chunks of 1,456 pairs: chunks
+    # span two representatives, and the last one is short
+    assert _report_digest(sudoku_23_report.value) == REPORT_2X3_SHA256

@@ -76,7 +76,16 @@ def test_json_error_kinds():
                  '{"h": 2.9, "w": "1", "rows": [[0, 1], [1, 0]]}',
                  '{"h": 2.0, "w": 1, "rows": [[0, 1], [1, 0]]}',
                  '{"h": 2, "w": "1", "rows": [[0, 1], [1, 0]]}',
-                 '{"h": true, "w": 2, "rows": [[0, 1], [1, 0]]}']:
+                 '{"h": true, "w": 2, "rows": [[0, 1], [1, 0]]}',
+                 # rows that are not an order h*w grid of symbols 0..h*w-1
+                 '{"h": 2, "w": 2, "rows": []}',
+                 '{"h": 2, "w": 2, "rows": [0, 1, 2, 3]}',
+                 '{"h": 2, "w": 2, "rows": [[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1]]}',
+                 '{"h": 2, "w": 2, "rows": [[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0.0]]}',
+                 '{"h": 2, "w": 2, "rows": [[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 4]]}',
+                 '{"h": 2, "w": 2, "rows": [[0, 1], [1, 0]]}',
+                 # a valid square once true and false are read as 1 and 0
+                 '{"h": 2, "w": 2, "rows": [[false, true, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]}']:
         with pytest.raises(ParseError) as e:
             parse_json(text)
         assert e.value.kind == "json"

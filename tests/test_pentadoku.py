@@ -14,6 +14,7 @@ import pytest
 
 from sudoku_spectra.construct import latin_spectrum
 from sudoku_spectra.core import BoxType, LatinSquare, intersection_size, validate_latin
+from sudoku_spectra import enumeration
 from sudoku_spectra.enumeration import enumerate_squares
 import sudoku_spectra
 from sudoku_spectra.pentadoku import (
@@ -29,6 +30,7 @@ from sudoku_spectra.pentadoku import (
     _placements,
     canonical_cage_key,
     census_text,
+    classify_all,
     classify_tiling,
     enumerate_tilings,
     shape_name,
@@ -150,14 +152,21 @@ def test_enumeration_finds_107_classes():
         assert flipped == t.canonical_key()
 
 
+CENSUS_SHA256 = "bca8549dd30b1b0bee21cacc2e1f10d01b10a94f22b202e69204e4c036cacbc4"
+
+
 def test_tiling_list_and_census_csv_are_pinned(census):
     keys = "\n".join(t.key() for t in enumerate_tilings())
     assert hashlib.sha256(keys.encode()).hexdigest() == (
         "92255190f8d3b05d8d415eb95d97372058a3a7a1c398adc7247d5d17d6fb78c6"
     )
-    assert hashlib.sha256(census_text(census.value, "csv").encode()).hexdigest() == (
-        "bca8549dd30b1b0bee21cacc2e1f10d01b10a94f22b202e69204e4c036cacbc4"
-    )
+    assert hashlib.sha256(census_text(census.value, "csv").encode()).hexdigest() == CENSUS_SHA256
+
+
+def test_census_is_pinned_at_tiny_sweep_chunks(monkeypatch):
+    # 130 values a chunk: one (left, right) solution pair at a time
+    monkeypatch.setattr(enumeration, "_CHUNK_VALUES", 130)
+    assert hashlib.sha256(census_text(classify_all(), "csv").encode()).hexdigest() == CENSUS_SHA256
 
 
 def test_rigid_tiling_has_unique_stored_solution():

@@ -523,9 +523,12 @@ def test_certificate_rejects_tampering():
     lambda obj: json.dumps({**obj, "h": 1, "w": 6}),
     lambda obj: json.dumps({**obj, "method": "banana"}),
     lambda obj: json.dumps({**obj, "w": 4}),
+    # the same certificate once true and false are read as 1 and 0
+    lambda obj: json.dumps({**obj, "a": [[{0: False, 1: True}.get(v, v) for v in obj["a"][0]]]
+                                        + obj["a"][1:]}),
 ], ids=["not-json", "empty-object", "array", "no-target", "h-string", "w-float",
         "target-bool", "method-int", "a-string", "b-null", "h-below-2", "method-unknown",
-        "order-not-h-times-w"])
+        "order-not-h-times-w", "a-booleans"])
 def test_certificate_from_json_tags_malformed_payloads(mutate):
     obj = json.loads(realize_sudoku_pair(2, 3, 10).to_json())
     with pytest.raises(ParseError) as exc:
