@@ -6,6 +6,7 @@ h-row by w-column boxes each contain every symbol once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -123,28 +124,30 @@ def _box_lines(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _line_keys(shape: tuple[int, ...], box_type: BoxType | None, rows_and_columns: bool):
-    """Flat cell positions of the lines to check in a grid or stack of grids
-    (rows, columns, then boxes, as an (l, n) array) and their offsets l*n."""
-    n = shape[-1]
-    cells = np.arange(np.prod(shape)).reshape(-1, n, n)
-    lines = [cells, cells.swapaxes(1, 2)] if rows_and_columns else []
+def _line_offsets(shape: tuple[int, ...], box_type: BoxType | None, rows_and_columns: bool):
+    """Each cell's line index times n, one layer per family of lines to check
+    in a grid or stack of grids (rows, columns, then boxes): the offsets
+    that make a cell's symbol its (line, symbol) key."""
+    n, grids = shape[-1], math.prod(shape[:-2])
+    r, c = np.indices((n, n))
+    lines = [r, c] if rows_and_columns else []
     if box_type is not None:
-        lines.append(_box_lines(cells, box_type))
-    positions = np.concatenate(lines).ravel()
-    offsets = np.repeat(np.arange(0, positions.size, n), n)
-    positions.flags.writeable = offsets.flags.writeable = False
-    return positions, offsets
+        lines.append(np.reshape(box_type.cell_boxes(), (n, n)))
+    first = np.arange(0, len(lines) * grids * n, n).reshape(len(lines), grids, 1, 1)
+    offsets = ((first + np.array(lines)[:, None]) * n).reshape(len(lines), *shape)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _lines_are_permutations(
     grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
 ) -> bool:
     """True iff every checked line (of every grid of a stack) holds each
-    symbol 0..n-1 once: one bincount over (line, symbol) keys fills every bin."""
-    positions, offsets = _line_keys(grid.shape, box_type, rows_and_columns)
-    keys = grid.ravel()[positions] + offsets
-    return np.count_nonzero(np.bincount(keys)) == keys.size
+    symbol 0..n-1 once: the cells' (line, symbol) keys mark every key."""
+    offsets = _line_offsets(grid.shape, box_type, rows_and_columns)
+    seen = np.zeros(offsets.size, dtype=bool)
+    seen[grid + offsets] = True
+    return seen.all()
 
 
 def _first_violation(
@@ -209,7 +212,7 @@ class LatinSquare:
         report = _check_lines(grid, None)
         if not report.ok:
             raise LatinViolationError(report.violation)
-        self._set_cells(grid)
+        object.__setattr__(self, "cells", grid)
 
     @classmethod
     def _from_checked(cls, grid: np.ndarray) -> "LatinSquare":
@@ -219,12 +222,8 @@ class LatinSquare:
         read-only."""
         grid.flags.writeable = False
         square = object.__new__(cls)
-        square._set_cells(grid)
+        object.__setattr__(square, "cells", grid)
         return square
-
-    def _set_cells(self, grid: np.ndarray) -> None:
-        object.__setattr__(self, "cells", grid)
-        object.__setattr__(self, "_hash", hash((grid.shape[0], grid.tobytes())))
 
     def __setattr__(self, name, value):
         raise AttributeError("LatinSquare is immutable")
@@ -245,7 +244,12 @@ class LatinSquare:
         return self.order == other.order and np.array_equal(self.cells, other.cells)
 
     def __hash__(self) -> int:
-        return self._hash
+        """Computed on first use: the cells are read-only, so it never goes stale."""
+        try:
+            return self._hash
+        except AttributeError:  # the slot is unset until the first call
+            object.__setattr__(self, "_hash", hash((self.order, self.cells.tobytes())))
+            return self._hash
 
     def __repr__(self) -> str:
         body = "/".join("".join(format(v, "x") for v in row) for row in self.cells.tolist())
@@ -287,10 +291,12 @@ class SudokuSquare:
     @classmethod
     def _all_checked(cls, grids, box_type: BoxType) -> list["SudokuSquare"]:
         """``[SudokuSquare(g, box_type) for g in grids]`` from one stacked check (an
-        int64 (k, n, n) array counts as coerced); on any failure, built one by one."""
+        int64 (k, n, n) array that owns its data counts as coerced, and is made
+        read-only with the squares' views of it); on any failure, built one by one."""
         try:
             stack = grids if isinstance(grids, np.ndarray) else np.stack([as_grid(g) for g in grids])
             if _check_lines(stack, box_type).ok:
+                stack.flags.writeable = False
                 return [cls._from_checked(grid, box_type) for grid in stack]
         except ValueError:  # a grid that does not coerce, or grids of two shapes
             pass

@@ -169,7 +169,7 @@ def grid_json(cells: np.ndarray) -> str:
     """``canonical_json(cells.tolist())`` for an order-n grid of symbols
     0..n-1, written without building Python lists."""
     digits, template = _grid_codec(cells.shape[0])
-    text = np.take(digits, cells.ravel(), axis=0)
+    text = digits.take(cells.ravel(), axis=0)
     text |= template
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -177,14 +177,15 @@ def grid_json(cells: np.ndarray) -> str:
 _NO_BRACKETS = str.maketrans("", "", "[]")
 
 
-def grid_from_json(text: str, n: int) -> np.ndarray | None:
-    """The order-n grid of symbols 0..n-1 whose ``grid_json`` is exactly
-    ``text``, or None for any other text, valid JSON or not."""
+def grids_from_json(texts: list[str], n: int) -> np.ndarray | None:
+    """The (k, n, n) stack of order-n grids of symbols 0..n-1 whose ``grid_json``
+    are exactly the k ``texts``, parsed in one pass, or None for any other
+    texts, valid JSON or not.  The stack owns its data."""
     try:
-        values = np.fromstring(text.translate(_NO_BRACKETS), dtype=np.int64, sep=",")
+        values = np.fromstring(",".join(texts).translate(_NO_BRACKETS), dtype=np.int64, sep=",")
     except ValueError:  # text between the commas that is not an integer
         return None
-    if values.size != n * n or values.min() < 0 or values.max() >= n:
+    if values.size != len(texts) * n * n or values.min() < 0 or values.max() >= n:
         return None
-    grid = values.reshape(n, n)
-    return grid if grid_json(grid) == text else None
+    values.shape = (len(texts), n, n)  # in place, so no view of the parse
+    return values if all(grid_json(g) == text for g, text in zip(values, texts)) else None

@@ -63,7 +63,7 @@ from .core import (
     cyclic_square,
     intersection_size,
 )
-from .formats import ParseError, canonical_json, grid_from_json, grid_json, holds_json_boolean
+from .formats import ParseError, grid_json, grids_from_json, holds_json_boolean
 from .seeds import DATABASE, SeedDatabase
 
 
@@ -300,9 +300,9 @@ class RealizationCertificate:
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace.  The grids come first
         in key order, so the scalar fields close the object."""
-        scalars = canonical_json({"h": self.a.box_type.h, "w": self.a.box_type.w,
-                                  "target": self.target, "method": self.method})
-        return f'{{"a":{grid_json(self.a.cells)},"b":{grid_json(self.b.cells)},{scalars[1:]}'
+        box = self.a.box_type
+        return (f'{{"a":{grid_json(self.a.cells)},"b":{grid_json(self.b.cells)},"h":{box.h},'
+                f'"method":{json.dumps(self.method)},"target":{self.target},"w":{box.w}}}')
 
     @classmethod
     def from_json(cls, text: str) -> "RealizationCertificate":
@@ -337,16 +337,13 @@ _CANONICAL_CERTIFICATE = re.compile(
 def _canonical_certificate(text: str):
     """The fields of a certificate in exactly the form ``to_json`` writes
     (or ``realize --out``, which adds a newline), the grids as one coerced
-    (2, n, n) array, or None for any other text."""
+    (2, n, n) array from one parse of both, or None for any other text."""
     match = _CANONICAL_CERTIFICATE.fullmatch(text)
     if match is None:
         return None
     text_a, text_b, h, method, target, w = match.groups()
-    n = int(h) * int(w)
-    grid_a, grid_b = grid_from_json(text_a, n), grid_from_json(text_b, n)
-    if grid_a is None or grid_b is None:
-        return None
-    return int(h), int(w), int(target), method, np.stack([grid_a, grid_b])
+    grids = grids_from_json([text_a, text_b], int(h) * int(w))
+    return None if grids is None else (int(h), int(w), int(target), method, grids)
 
 
 def _certificate_fields(text):

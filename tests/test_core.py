@@ -228,6 +228,53 @@ def test_cyclic_square_is_built_once_and_read_only():
     assert sq.rows()[1] == (1, 2, 3, 4, 5, 6, 0)
 
 
+def _built_pairs():
+    """Certificates whose squares are views of one stack: a product pair, its
+    transposed type, and each read back from canonical and spaced JSON."""
+    from sudoku_spectra.spectrum import RealizationCertificate, realize_sudoku_pair
+
+    made = [realize_sudoku_pair(4, 4, 100), realize_sudoku_pair(4, 3, 60)]
+    texts = [c.to_json() for c in made] + [c.to_json().replace(",", ", ") for c in made]
+    return made + [RealizationCertificate.from_json(text) for text in texts]
+
+
+@pytest.mark.parametrize("index", range(6), ids=["product", "product-transposed", "json",
+                                                 "json-transposed", "spaced", "spaced-transposed"])
+def test_a_built_square_cannot_be_written_through_its_base(index):
+    cert = _built_pairs()[index]
+    assert cert.method == "product"
+    for square in (cert.a, cert.b):
+        base = square.cells.base
+        assert base is not None and base.ndim == 3  # the pair's stack
+        before = square.cells.copy()
+        with pytest.raises(ValueError):
+            base[0, 0, 0] = base[0, 0, 1]
+        with pytest.raises(ValueError):
+            square.cells[0, 0] = square.cells[0, 1]
+        assert np.array_equal(square.cells, before)
+    assert cert.verify() == cert.target
+
+
+def test_equal_squares_hash_equal_however_built():
+    from sudoku_spectra.spectrum import RealizationCertificate, realize_sudoku_pair
+
+    cert = realize_sudoku_pair(3, 4, 50)
+    rows = cert.a.cells.tolist()
+    back = RealizationCertificate.from_json(cert.to_json())
+    sudokus = [SudokuSquare(rows, cert.a.box_type), cert.a.transposed().transposed(), back.a]
+    latins = [LatinSquare(rows), *(s.square for s in sudokus)]
+    assert len({hash(sq) for sq in latins}) == 1
+    assert len({hash(sq) for sq in sudokus}) == 1
+    seen = {sq: k for k, sq in enumerate(latins)}
+    assert len(seen) == 1 and seen[LatinSquare(rows)] == len(latins) - 1
+    assert len(set(sudokus)) == 1 and cert.b.square not in seen
+    assert hash(latins[0]) == hash(latins[0])  # stable once computed
+    for square in (latins[0], back.a.square, sudokus[0]):
+        for name in ("cells", "_hash", "order"):
+            with pytest.raises(AttributeError):
+                setattr(square, name, None)
+
+
 def test_each_built_square_is_checked_once(monkeypatch):
     from sudoku_spectra import core
     from sudoku_spectra.construct import sudoku_reorder, triangle_product

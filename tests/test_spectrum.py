@@ -22,7 +22,7 @@ from sudoku_spectra.core import (
     intersection_size,
     validate_latin,
 )
-from sudoku_spectra.formats import ParseError, canonical_json
+from sudoku_spectra.formats import ParseError, canonical_json, grid_json, grids_from_json
 from sudoku_spectra.seeds import DATABASE
 from sudoku_spectra.spectrum import (
     CertificateError,
@@ -496,6 +496,44 @@ def test_canonical_reader_agrees_with_json_loads_after_any_one_edit(data):
     keep = at if edit == "insert" else at + 1
     text = text[:at] + ("" if edit == "delete" else char) + text[keep:]
     assert _outcome(text) == _outcome(text, general_only=True)
+
+
+def _move_closing_bracket(a, b):
+    return a[:-1], "]" + b  # grid a's last "]" opens grid b
+
+
+def _move_last_value(a, b):
+    head, last = a[:-2].rsplit(",", 1)
+    return head + "]]", "[[" + last + "," + b[2:]  # a loses a value, b gains it: still 2n^2
+
+
+def _add_value(a, b):
+    return a[:-2] + ",0]]", b  # n^2 + 1 values in a
+
+
+def _move_split(a, b):
+    comma = b.index(",")
+    return a + "," + b[:comma], b[comma + 1:]  # joined with a comma, the same text
+
+
+@pytest.mark.parametrize("move", [_move_closing_bracket, _move_last_value, _add_value, _move_split],
+                         ids=["bracket-moved", "value-moved", "extra-value", "split-moved"])
+@pytest.mark.parametrize("h, w", [(2, 3), (6, 6)])
+def test_one_pass_reader_checks_each_grid_exactly(move, h, w):
+    # both grids are parsed as one list of values; each must still re-encode
+    # to its own text, so a boundary moved between them is caught
+    cert = realize_sudoku_pair(h, w, 10)
+    text_a, text_b = grid_json(cert.a.cells), grid_json(cert.b.cells)
+    bad_a, bad_b = move(text_a, text_b)
+    text = cert.to_json().replace(f'"a":{text_a},"b":{text_b}', f'"a":{bad_a},"b":{bad_b}')
+    assert grids_from_json([bad_a, bad_b], h * w) is None
+    assert spectrum._canonical_certificate(text) is None
+    with pytest.raises(ParseError) as exc:
+        RealizationCertificate.from_json(text)
+    assert exc.value.kind == "certificate"
+    assert _outcome(text) == _outcome(text, general_only=True)
+    assert np.array_equal(grids_from_json([text_a, text_b], h * w), [cert.a.cells, cert.b.cells])
+    assert RealizationCertificate.from_json(_reformat(indent=1)(cert.to_json())) == cert
 
 
 def test_certificate_rejects_tampering():

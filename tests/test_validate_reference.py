@@ -1,22 +1,29 @@
 """The vectorized validators against the line-by-line reference.
 
-``validate_latin`` and ``validate_sudoku`` answer with one bincount over
-all constraint lines and scan line by line only to name the first repeat.
-The loops below are the scan-everything validators they replaced, kept as
-the reference: both must agree on ``ok`` and on the first violation, in
-row, column, box order, for valid squares and for squares with a few
-cells edited.
+``validate_latin`` and ``validate_sudoku`` answer by marking each cell's
+(line, symbol) key over all constraint lines at once, and scan line by
+line only to name the first repeat; ``SudokuSquare._all_checked`` runs
+the same check once over a stack of grids.  The loops below are the
+scan-everything validators they replaced, kept as the reference: both
+must agree on ``ok`` and on the first violation, in row, column, box
+order (in a stack, of the first bad grid), for valid squares and for
+squares with a few cells edited.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sudoku_spectra.core import (
     BoxType,
+    BoxViolationError,
     LatinSquare,
+    LatinViolationError,
+    SudokuSquare,
     ValidationReport,
     Violation,
+    _check_lines,
     as_grid,
     validate_latin,
     validate_sudoku,
@@ -76,6 +83,15 @@ def random_sudoku(h: int, w: int, rng) -> np.ndarray:
     return grid[rows.ravel()][:, cols.ravel()]
 
 
+def _spoiled(grid, rng, edits, shuffle):
+    n = grid.shape[0]
+    if shuffle:  # still latin, boxes mostly broken
+        grid = grid[rng.permutation(n)][:, rng.permutation(n)]
+    for _ in range(edits):
+        grid[rng.integers(n), rng.integers(n)] = rng.integers(n)
+    return grid
+
+
 def test_random_sudoku_is_valid_for_every_box_type():
     rng = np.random.default_rng(0)
     for h, w in BOX_TYPES:
@@ -91,13 +107,8 @@ def test_random_sudoku_is_valid_for_every_box_type():
 )
 def test_vectorized_validators_match_loop_reference(box, seed, edits, shuffle):
     h, w = box
-    n = h * w
     rng = np.random.default_rng(seed)
-    grid = random_sudoku(h, w, rng)
-    if shuffle:  # still latin, boxes mostly broken
-        grid = grid[rng.permutation(n)][:, rng.permutation(n)]
-    for _ in range(edits):
-        grid[rng.integers(n), rng.integers(n)] = rng.integers(n)
+    grid = _spoiled(random_sudoku(h, w, rng), rng, edits, shuffle)
 
     expected_latin = reference_validate_latin(grid)
     expected_sudoku = reference_validate_sudoku(grid, h, w)
@@ -106,3 +117,42 @@ def test_vectorized_validators_match_loop_reference(box, seed, edits, shuffle):
     if expected_latin.ok:
         # a LatinSquare has only its boxes checked; the report is the same
         assert validate_sudoku(LatinSquare(grid), BoxType(h, w)) == expected_sudoku
+
+
+STACK_BOX_TYPES = [(1, 5), (4, 1), (2, 2), (2, 3), (3, 2), (3, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    box=st.sampled_from(STACK_BOX_TYPES),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 3),
+    bad=st.sampled_from(["none", "any", "last"]),
+)
+def test_stacked_check_matches_loop_reference(box, seed, k, bad):
+    h, w = box
+    bt = BoxType(h, w)
+    rng = np.random.default_rng(seed)
+    grids = [random_sudoku(h, w, rng) for _ in range(k)]
+    if bad == "any":
+        grids = [_spoiled(g, rng, rng.integers(0, 3), rng.random() < 0.5) for g in grids]
+    elif bad == "last":  # the first k - 1 grids are valid
+        grids[-1] = _spoiled(grids[-1], rng, rng.integers(1, 4), rng.random() < 0.5)
+
+    reports = [reference_validate_sudoku(g, h, w) for g in grids]
+    expected = next((r for r in reports if not r.ok), ValidationReport(True))
+    stack = np.stack(grids).astype(np.int64)
+    assert _check_lines(stack, bt) == expected
+    if expected.ok:
+        squares = SudokuSquare._all_checked(stack.copy(), bt)
+        assert [s.cells.tolist() for s in squares] == [g.tolist() for g in grids]
+    else:
+        error = BoxViolationError if expected.violation.kind == "box" else LatinViolationError
+        with pytest.raises(error) as exc:
+            SudokuSquare._all_checked(stack.copy(), bt)
+        assert exc.value.violation == expected.violation
+    for grid, report in zip(grids, reports):
+        latin = reference_validate_latin(grid)
+        assert validate_latin(grid) == latin
+        if latin.ok:  # boxes only, from a LatinSquare
+            assert validate_sudoku(LatinSquare(grid), bt) == report
