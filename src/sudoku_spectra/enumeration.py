@@ -5,8 +5,8 @@ Pentadoku census uses both, with cages in place of boxes.
 
 The enumerator fills one cell per level for all partial squares at once,
 so its rows come out sorted and orbit images are found by binary search.
-On a 2-core Xeon VM it lists the 39,168 canonical (2, 3) squares in about
-0.1 s (0.35 s for the recursive backtracker it replaced).
+On a 2-core AMD EPYC VM it lists the 39,168 canonical (2, 3) squares in
+about 5 ms, and finds their 49 orbits in about 25 ms (best of 15 runs).
 
 Squares are enumerated up to symbol relabelling (first row 0..n-1); every
 square is some relabelling pi of a canonical square C, and
@@ -18,8 +18,8 @@ values, so memory stays bounded at every size.  Intersection sizes are
 invariant when both squares get the same row permutation, column
 permutation, or transpose, and validity-preserving choices of those map
 the enumerated family onto itself, so the left square A only needs to
-range over orbit representatives of that action.  The test suite checks
-the reduced sweep against an all-pairs comparison of every square.
+range over orbit representatives of that action, found from a few
+generators.  The tests check the sweep against an all-pairs comparison.
 
 A latin square is box type (1, n): its boxes are its rows, so one
 enumerator, one position group and one sweep serve both kinds of square.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -37,6 +37,14 @@ from .core import BoxType, SudokuSquare, intersection_size
 MAX_LATIN_ORDER = 5
 MAX_SUDOKU_ORDER = 6
 _CHUNK_VALUES = 1 << 20  # agreement values per chunk of the sweep: bounds its memory
+
+
+@cache
+def _free_symbols(n: int) -> np.ndarray:
+    """Word m holds eight bools, byte s set if symbol s is free of mask m."""
+    free = np.zeros((1 << n, 8), dtype=bool)
+    free[:, :n] = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
+    return free.view(np.uint64).ravel()
 
 
 def _fill_squares(n: int, group_of: list[int], first_row_fixed: bool) -> np.ndarray:
@@ -49,37 +57,36 @@ def _fill_squares(n: int, group_of: list[int], first_row_fixed: bool) -> np.ndar
     in order and symbols ascending.  Levels keep only symbols and parent
     indices; the squares are read back from them once, at the end.
     """
-    full = (1 << n) - 1
-    bits = np.array([1 << s for s in range(n)], dtype=np.uint8)
+    free = _free_symbols(n)
     start = n if first_row_fixed else 0
-    row = np.zeros(1, dtype=np.uint8)  # the current row's mask
-    col = np.zeros((1, n), dtype=np.uint8)
-    grp = np.zeros((1, n), dtype=np.uint8)
+    # each partial square's used-symbol masks (its current row, then its n
+    # columns and n groups) padded to whole 8-byte words, which gather fastest
+    state = np.zeros((1, (2 * n + 8) // 8 * 8), dtype=np.uint8)
     for c in range(start):
-        col[0, c] = bits[c]
-        grp[0, group_of[c]] |= bits[c]
+        state[0, 1 + c] = 1 << c
+        state[0, 1 + n + group_of[c]] |= 1 << c
     levels = []
     for pos in range(start, n * n):
-        c, g = pos % n, group_of[pos]
-        if c == 0:
-            row[:] = 0
-        avail = ~(row | col[:, c] | grp[:, g]) & full
-        parent, symbol = np.nonzero(avail[:, None] & bits)
+        c, g = 1 + pos % n, 1 + n + group_of[pos]
+        if c == 1:
+            state[:, 0] = 0
+        # byte 8*i + s is set when symbol s is free in partial square i
+        hit = np.flatnonzero(free.take(state[:, 0] | state[:, c] | state[:, g]).view(bool))
+        parent, symbol = hit >> 3, (hit & 7).astype(np.uint8)
         if not len(parent):
             return np.zeros((0, n * n), dtype=np.uint8)
-        bit = bits[symbol]
-        row = row[parent] | bit
-        col = col[parent]
-        col[:, c] |= bit
-        grp = grp[parent]
-        grp[:, g] |= bit
-        levels.append((pos, symbol.astype(np.uint8), parent))
-    out = np.empty((len(row), n * n), dtype=np.uint8)
+        bit = np.uint8(1) << symbol
+        state = state.take(parent, axis=0)
+        state[:, 0] |= bit
+        state[:, c] |= bit
+        state[:, g] |= bit
+        levels.append((pos, symbol, parent))
+    out = np.empty((len(state), n * n), dtype=np.uint8)
     out[:, :start] = np.arange(start, dtype=np.uint8)
-    leaf = np.arange(len(row))
+    leaf = np.arange(len(state))
     for pos, symbol, parent in reversed(levels):
-        out[:, pos] = symbol[leaf]
-        leaf = parent[leaf]
+        out[:, pos] = symbol.take(leaf)
+        leaf = parent.take(leaf)
     return out
 
 
@@ -93,51 +100,59 @@ def enumerate_squares(n: int, box_type: BoxType, first_row_fixed: bool = True) -
     return _fill_squares(n, box_type.cell_boxes(), first_row_fixed)
 
 
-def _line_permutations(total: int, block: int) -> list[tuple[int, ...]]:
-    """Permutations of 0..total-1 respecting blocks of the given size:
-    blocks may be permuted and lines within each block may be permuted."""
-    count = total // block
-    inner = list(itertools.permutations(range(block)))
-    return [tuple(outer[b] * block + x for b in range(count) for x in choice[b])
-            for outer in itertools.permutations(range(count))
-            for choice in itertools.product(inner, repeat=count)]
-
-
+@cache
 def position_group(n: int, box_type: BoxType) -> np.ndarray:
-    """Cell-position permutations preserving the enumerated family, as a
-    (G, n*n) gather table: transformed_flat = flat[P[g]]."""
-    rho = np.array(_line_permutations(n, box_type.h), dtype=np.int32)
-    gamma = np.array(_line_permutations(n, box_type.w), dtype=np.int32)
-    # cells[i, j] = rho[i][:, None] * n + gamma[j][None, :], row-perm major
-    cells = rho[:, None, :, None] * n + gamma[None, :, None, :]
-    # the transpose has box type (w, h): the same family when the boxes
-    # are square or are lines, as in a latin square; it follows each cell
-    if box_type.h == box_type.w or 1 in (box_type.h, box_type.w):
-        cells = np.stack([cells, cells.swapaxes(2, 3)], axis=2)
-    return cells.reshape(-1, n * n)
+    """Generators (k <= 6 to order 6) of the position permutations preserving the
+    family, as a read-only (k, n*n) gather table: transformed_flat = flat[P[g]]."""
+    grid, line = np.arange(n * n).reshape(n, n), np.arange(n)
+    # the transpose has box type (w, h): the same family when the boxes are
+    # square or are lines, as in a latin square; it turns row moves into column
+    # moves.  Per axis: swap lines 0 and 1 (in a block, or two one-line
+    # blocks), cycle the first block's lines, swap and cycle the blocks
+    symmetric = box_type.h == box_type.w or 1 in (box_type.h, box_type.w)
+    moves = [grid.T] if symmetric else []
+    for axis, b in [(0, box_type.h)] + ([] if symmetric else [(1, box_type.w)]):
+        for p in (np.r_[line[1::-1], line[2:]], np.r_[np.roll(line[:b], 1), line[b:]],
+                  np.r_[line[b:2 * b], line[:b], line[2 * b:]], np.roll(line, b)):
+            moves.append(grid.take(p, axis=axis))
+    table = np.unique(np.array(moves, dtype=np.int32).reshape(-1, n * n), axis=0)
+    table = table[(table != grid.ravel()).any(axis=1)]
+    table.flags.writeable = False
+    return table
 
 
 def orbit_representatives(canon: np.ndarray, n: int, group: np.ndarray) -> list[int]:
-    """Indices of one canonical square per orbit of the position group
-    (composed with symbol renormalization back to canonical form)."""
-    # the rows are sorted, so as fixed-width byte strings they can be searched
-    keys = canon.view(f"S{n * n}").ravel()
-    covered = np.zeros(len(canon), dtype=bool)
-    reps = []
-    for i in range(len(canon)):
-        if covered[i]:
-            continue
-        reps.append(i)
-        transformed = canon[i][group]
-        # renormalize so the first row reads 0..n-1 again
-        sigma = np.argsort(transformed[:, :n], axis=1).astype(np.uint8)
-        images = np.take_along_axis(sigma, transformed, axis=1).view(keys.dtype).ravel()
-        found = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
-        if not (keys[found] == images).all():
-            raise AssertionError(f"an image of square {i} is not in the enumerated family")
-        covered[found] = True
-    assert covered.all()
-    return reps
+    """Indices of one canonical square per orbit of the group that the rows
+    of ``group`` generate (composed with symbol renormalization back to
+    canonical form): each orbit's least index, in ascending order."""
+    if n > MAX_SUDOKU_ORDER:
+        raise ValueError(f"orbit keys support orders up to {MAX_SUDOKU_ORDER}, got {n}")
+    # rows 1..n-2 by columns 0..n-2 fix a latin square with a fixed first row and
+    # sort as it does; as base-n digits they are exact in float64 (6**20 < 2**53)
+    digits = [r * n + c for r in range(1, n - 1) for c in range(n - 1)]
+    weights = float(n) ** np.arange(len(digits) - 1, -1, -1)
+    keys, rows = canon[:, digits] @ weights, canon.view(f"S{n * n}").ravel()
+    maps = []
+    for g in group:
+        transformed = canon.take(g, axis=1)
+        # renormalize: a cell holding the first row's symbol j gets symbol j
+        images = np.zeros(transformed.shape, dtype=np.uint8)
+        for j in range(1, n):
+            images += (transformed == transformed[:, j, None]) * np.uint8(j)
+        found = np.minimum(np.searchsorted(keys, images[:, digits] @ weights), len(canon) - 1)
+        # a key fixes a square only within the family: compare whole rows
+        missing = np.flatnonzero(rows[found] != images.view(rows.dtype).ravel())
+        if len(missing):
+            raise AssertionError(f"an image of square {missing[0]} is not in the enumerated family")
+        maps.append(found)
+    # each map permutes the family, so an orbit is a connected component of
+    # the maps: spread the least index along them, with pointer jumping
+    label, least = None, np.arange(len(canon))
+    while label is None or (label != least).any():
+        label = least
+        least = reduce(np.minimum, (label[found] for found in maps), label)
+        least = least[least]
+    return np.flatnonzero(label == np.arange(len(canon))).tolist()
 
 
 @cache

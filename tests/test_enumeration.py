@@ -1,6 +1,7 @@
 """Exhaustive enumeration: counts, symmetry reduction, spectra."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from sudoku_spectra import enumeration
 from sudoku_spectra.core import (
     BoxType,
+    _box_lines,
     validate_latin,
     validate_sudoku,
 )
@@ -59,25 +61,110 @@ def test_sudoku_counts():
     assert rep22.orbit_count == 2
 
 
-def test_position_group_maps_squares_to_squares():
-    rng = np.random.default_rng(21)
-    for n, bt in [(4, BoxType(1, 4)), (4, BoxType(4, 1)), (4, BoxType(2, 2)), (6, BoxType(2, 3))]:
-        group = position_group(n, bt)
-        canon = enumerate_squares(n, bt) if n <= 4 else None
-        if canon is None:
+def _line_permutations(total, block):
+    """Permutations of 0..total-1 respecting blocks of the given size:
+    blocks may be permuted and lines within each block may be permuted."""
+    count = total // block
+    inner = list(itertools.permutations(range(block)))
+    return [tuple(outer[b] * block + x for b in range(count) for x in choice[b])
+            for outer in itertools.permutations(range(count))
+            for choice in itertools.product(inner, repeat=count)]
+
+
+def _full_position_group(n, box_type):
+    """The oracle: every cell-position permutation preserving the family,
+    as a (G, n*n) gather table, row-permutation major."""
+    rho = np.array(_line_permutations(n, box_type.h), dtype=np.int32)
+    gamma = np.array(_line_permutations(n, box_type.w), dtype=np.int32)
+    cells = rho[:, None, :, None] * n + gamma[None, :, None, :]
+    if box_type.h == box_type.w or 1 in (box_type.h, box_type.w):
+        cells = np.stack([cells, cells.swapaxes(2, 3)], axis=2)
+    return cells.reshape(-1, n * n)
+
+
+def _orbits_by_images(canon, n, group):
+    """The oracle: each orbit as the sorted indices of every image of its
+    least square under every element of ``group``, found by binary search
+    over the sorted rows, least squares ascending."""
+    keys = canon.view(f"S{n * n}").ravel()
+    covered = np.zeros(len(canon), dtype=bool)
+    orbits = []
+    for i in range(len(canon)):
+        if covered[i]:
             continue
-        for _ in range(20):
-            flat = canon[rng.integers(0, len(canon))]
-            g = group[rng.integers(0, len(group))]
-            assert validate_sudoku(flat[g].reshape(n, n), bt).ok
+        transformed = canon[i][group]
+        sigma = np.argsort(transformed[:, :n], axis=1).astype(np.uint8)
+        images = np.take_along_axis(sigma, transformed, axis=1).view(keys.dtype).ravel()
+        found = np.searchsorted(keys, images)
+        assert (keys[found] == images).all()
+        covered[found] = True
+        orbits.append(np.unique(found).tolist())
+    return orbits
+
+
+def _all_valid(flat, box_type):
+    """True iff every row of ``flat`` is a Sudoku square of the box type."""
+    n = box_type.n
+    grids = flat.reshape(-1, n, n)
+    lines = np.concatenate([grids, grids.swapaxes(1, 2), _box_lines(grids, box_type)], axis=1)
+    return bool((np.sort(lines, axis=2) == np.arange(n)).all())
+
+
+def test_position_group_maps_squares_to_squares():
+    for bt in [BoxType(1, 4), BoxType(4, 1), BoxType(2, 2), BoxType(2, 3)]:
+        canon = enumerate_squares(bt.n, bt)
+        group = position_group(bt.n, bt)
+        assert 0 < len(group) <= 6
+        assert all(_all_valid(canon[:, g], bt) for g in group)
+
+
+@pytest.mark.parametrize("bt", [BoxType(1, 3), BoxType(1, 4), BoxType(2, 2), BoxType(2, 3)], ids=str)
+def test_position_generators_generate_the_full_group(bt):
+    n = bt.n
+    full = {p.tobytes() for p in _full_position_group(n, bt)}
+    generators = position_group(n, bt)
+    closure = {np.arange(n * n, dtype=np.int32).tobytes()}
+    frontier = np.arange(n * n, dtype=np.int32)[None]
+    while len(frontier):
+        images = frontier[:, generators].reshape(-1, n * n)
+        new = {p.tobytes(): p for p in images if p.tobytes() not in closure}
+        closure.update(new)
+        frontier = np.array(list(new.values()), dtype=np.int32).reshape(-1, n * n)
+    assert closure == full
+    if bt == BoxType(2, 3):
+        assert len(closure) == 3456
+
+
+@pytest.mark.parametrize("bt", [BoxType(1, 4), BoxType(1, 5), BoxType(2, 2), BoxType(2, 3)], ids=str)
+def test_orbits_from_generators_match_the_full_group(bt):
+    n = bt.n
+    canon = enumerate_squares(n, bt)
+    full = _full_position_group(n, bt)
+    reps = orbit_representatives(canon, n, position_group(n, bt))
+    assert reps == [orbit[0] for orbit in _orbits_by_images(canon, n, full)]
+    # any table of permutations works; the full one is quick only when small
+    if len(full) * len(canon) < 10**6:
+        assert orbit_representatives(canon, n, full) == reps
 
 
 def test_orbit_reduction_covers_everything():
     n, bt = 4, BoxType(2, 2)
     canon = enumerate_squares(n, bt)
-    group = position_group(n, bt)
-    reps = orbit_representatives(canon, n, group)
-    assert 0 < len(reps) <= len(canon)  # covering assert lives inside
+    reps = orbit_representatives(canon, n, position_group(n, bt))
+    orbits = _orbits_by_images(canon, n, _full_position_group(n, bt))
+    # each square lies in the orbit of exactly one representative
+    assert sorted(i for orbit in orbits for i in orbit) == list(range(len(canon)))
+    assert reps == [orbit[0] for orbit in orbits]
+
+
+def test_a_permutation_leaving_the_family_is_reported():
+    n, bt = 4, BoxType(2, 2)
+    canon = enumerate_squares(n, bt)
+    # swapping rows 1 and 2 moves cells across a band of boxes
+    swap = np.arange(n * n).reshape(n, n)[[0, 2, 1, 3]].ravel()
+    first = next(i for i, flat in enumerate(canon) if not _all_valid(flat[swap], bt))
+    with pytest.raises(AssertionError, match=f"an image of square {first} is not in the enumerated family"):
+        orbit_representatives(canon, n, swap[None])
 
 
 def test_latin_spectra_small_orders():
@@ -123,6 +210,8 @@ def test_bounds_are_enforced(monkeypatch):
         with pytest.raises(ValueError, match="latin enumeration supports"):
             brute_force_spectrum(h, w)
     assert MAX_SUDOKU_ORDER == 6
+    with pytest.raises(ValueError, match="orbit keys support"):
+        orbit_representatives(np.zeros((0, 49), dtype=np.uint8), 7, np.zeros((0, 49), dtype=np.int32))
 
 
 def _recursive_fill(n, group_of, first_row_fixed):
