@@ -190,8 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "steps", 0) < 0:
-        parser.error(f"argument --steps: must be at least 0, got {args.steps}")
+    for flag in ("steps", "effort"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            parser.error(f"argument --{flag}: must be at least 0, got {value}")
     try:
         return args.func(args)
     except (ValueError, OSError, SampleError) as exc:

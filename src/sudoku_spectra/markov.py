@@ -4,13 +4,13 @@ square toward or away from a reference.
 
 The backtracking sampler ``sample_sudoku`` runs ``_sample_grid``, a
 find-one exact-cover fill on an explicit stack: it branches on the cell,
-row-symbol or column-symbol item with the fewest options, keeps those
-counts incrementally against peer tables cached per box layout, and
-gives up after ``effort * n * n`` nodes, to restart with fresh draws
-(short runs with restarts tame the search's heavy tails: Gomes, Selman
-& Kautz, AAAI 1998).  A random latin square is a Sudoku square of box
-type (1, n).  Enumerating every completion is a different job and stays
-in ``enumeration``.
+row-symbol or column-symbol item with the fewest options, found by byte
+search in a table of counts (255 once placed, so orders stop at 254)
+kept incrementally against peer tables cached per box layout.  It gives
+up after ``effort * n * n`` nodes to restart with fresh draws (short
+runs with restarts tame heavy tails: Gomes, Selman & Kautz, AAAI 1998).
+A random latin square is a Sudoku square of box type (1, n).  Listing
+every completion is a different job and stays in ``enumeration``.
 
 The chain walks the 0/1 incidence cube f(r, c, s) of a latin square (all
 line sums 1), allowing one improper cell with a -1 entry.  From a proper
@@ -81,10 +81,14 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
     is placed once.  The group constraint lives only in the candidate
     masks.  Each cell's candidate mask and every item's count of open
     options are updated on each place and restored on each lift, from a
-    per-level trail of the peers that lost the symbol.
+    per-level trail of the peers that lost the symbol.  Counts take a
+    byte each; a place writes 255 into its three items after the peers'
+    decrements (a lift restores them first), so open counts stay in 0..n
+    and orders up to 254 are exact.
 
     Each level branches on the open item with the fewest options (the
-    first such in cell, row, column order) and tries them in
+    first such in cell, row, column order: ``counts.find(k)`` for k = 0,
+    1, ... up to the first hit) and tries them in
     ``rng.permutation`` order, so every square of the type has positive
     probability; an item with no option is a dead end.  The fill is
     depth-first, one cell per level, on an explicit stack, so no order
@@ -97,8 +101,8 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
     # counts[pos] for cells, counts[row_at[pos] + s] for (row, symbol) and
     # counts[col_at[pos] + s] for (column, symbol)
     peers, row_at, col_at = _peer_table(n, tuple(group_of))
-    counts = [n] * (3 * total)
-    covered = 1 << 30  # the count of an item already placed: never least
+    counts = bytearray([n]) * (3 * total)
+    covered = 255  # the count of an item already placed: never least
     full = (1 << n) - 1
     cand = [full] * total
     grid = [-1] * total
@@ -106,9 +110,10 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
     trail = [None] * total  # per level: what its placement changed
     depth = nodes = 0
     while depth < total:
-        least = min(counts)
+        least = 0
+        while (item := counts.find(least)) < 0:
+            least += 1
         if least:
-            item = counts.index(least)
             if item < total:
                 options = [(item, s) for s in range(n) if cand[item] >> s & 1]
             elif item < 2 * total:
@@ -128,6 +133,7 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
                 return None
             depth -= 1
             pos, sym, mask, saved, hits = trail[depth]
+            counts[pos], counts[row_at[pos] + sym], counts[col_at[pos] + sym] = saved
             bit = 1 << sym
             for q in hits:
                 cand[q] |= bit
@@ -141,7 +147,6 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
                 counts[row_at[pos] + t] += 1
                 counts[col_at[pos] + t] += 1
                 rest ^= low
-            counts[pos], counts[row_at[pos] + sym], counts[col_at[pos] + sym] = saved
             cand[pos] = mask
             grid[pos] = -1
             option = next(untried[depth], None)
@@ -153,8 +158,6 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
         rs = row_at[pos]
         cs = col_at[pos]
         mask = cand[pos]
-        saved = counts[pos], counts[rs + sym], counts[cs + sym]
-        counts[pos] = counts[rs + sym] = counts[cs + sym] = covered
         rest = mask ^ bit  # the cell's other symbols lose this option
         while rest:
             low = rest & -rest
@@ -170,6 +173,8 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
                 counts[row_at[q] + sym] -= 1
                 counts[col_at[q] + sym] -= 1
                 hits.append(q)
+        saved = counts[pos], counts[rs + sym], counts[cs + sym]
+        counts[pos] = counts[rs + sym] = counts[cs + sym] = covered
         cand[pos] = 0
         grid[pos] = sym
         trail[depth] = pos, sym, mask, saved, hits
@@ -181,6 +186,10 @@ def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 2, restarts: int = 
     """A random Sudoku square of box type (h, w), deterministic in rng."""
     box = BoxType(h, w)
     n = box.n
+    if n > 254:  # the kernel's byte counts: see _sample_grid
+        raise ValueError(f"sampler order {n} exceeds 254")
+    if effort < 0 or restarts < 1:
+        raise ValueError(f"sampler needs effort >= 0 and restarts >= 1, got {effort} and {restarts}")
     box_of = tuple(box.cell_boxes())
     rng = ensure_rng(rng)
     for _ in range(restarts):

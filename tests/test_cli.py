@@ -237,9 +237,16 @@ def test_sample_out_of_budget_exits_1(capsys):
     assert err.startswith("error: failed to sample a (2, 3) Sudoku square")
 
 
+def test_sample_above_the_sampler_order_exits_1(capsys):
+    rc, out, err = run(capsys, "sample", "--h", "15", "--w", "17", "--seed", "0")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: sampler order 255 exceeds 254")
+
+
 @pytest.mark.parametrize("argv, flag, low", [
     (["sample", "--h", "2", "--w", "3", "--steps", "-1"], "--steps", 0),
-], ids=["steps-negative"])
+    (["sample", "--h", "2", "--w", "3", "--effort", "-1"], "--effort", 0),
+], ids=["steps-negative", "effort-negative"])
 def test_counts_below_their_floor_are_usage_errors(capsys, argv, flag, low):
     with pytest.raises(SystemExit) as e:
         main(argv)

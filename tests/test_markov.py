@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sudoku_spectra import markov
 from sudoku_spectra.core import (
     BoxType,
     LatinSquare,
@@ -151,6 +152,35 @@ def test_every_sampler_shape_is_pinned_by_digest():
     text = "\n".join(str(square.cells.tolist()) for square in squares)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1bcc60234604d0a70348b854b08691c9f4eabab1df997416a4af184fdeb3cf38")
+
+
+def test_workload_sampler_shapes_are_pinned_by_digest():
+    # the benchmark's six box types plus (5, 5), six seeds each, and latin
+    # squares of orders 37 and 130: at 130 a covered item's count would
+    # drift into the open range if the sentinel were written before the
+    # peers' decrements
+    boxes = [(3, 3), (4, 4), (3, 5), (2, 8), (3, 6), (4, 5), (5, 5)]
+    squares = [sample_sudoku(h, w, seed) for h, w in boxes for seed in range(6)]
+    squares += [random_latin_square(n, 0) for n in (37, 130)]
+    text = "\n".join(str(square.cells.tolist()) for square in squares)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "de0cf4388b2f998f75940c6ae3bf4855ffabee5a666e3f3aeae76b02d0164248")
+
+
+@pytest.mark.parametrize("h, w", [(1, 255), (15, 17)])
+def test_orders_above_the_byte_counts_are_refused_before_any_table(monkeypatch, h, w):
+    def no_table(*args):
+        raise AssertionError("peer table built")
+
+    monkeypatch.setattr(markov, "_peer_table", no_table)
+    with pytest.raises(ValueError, match=f"sampler order {h * w} exceeds 254"):
+        sample_sudoku(h, w, 0)
+
+
+@pytest.mark.parametrize("budget", [{"effort": -1}, {"restarts": 0}])
+def test_a_budget_below_its_floor_is_refused(budget):
+    with pytest.raises(ValueError, match="effort >= 0 and restarts >= 1"):
+        sample_sudoku(2, 2, 0, **budget)
 
 
 @settings(max_examples=60, deadline=None)
