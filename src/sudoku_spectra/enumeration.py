@@ -3,10 +3,11 @@ brute-force computation of their intersection spectra.  The package's
 one fixed-order enumerator and one agreement-count kernel live here; the
 Pentadoku census uses both, with cages in place of boxes.
 
-The enumerator fills one cell per level for all partial squares at once,
-so its rows come out sorted and orbit images are found by binary search.
-On a 2-core AMD EPYC VM it lists the 39,168 canonical (2, 3) squares in
-about 5 ms, and finds their 49 orbits in about 25 ms (best of 15 runs).
+The enumerator fills one cell per level for all partial squares of every
+family of group layouts at once (the census solves its 107 tilings in one
+call), so its rows come out sorted and orbit images are found by binary
+search.  On a 2-core AMD EPYC VM it lists the 39,168 canonical (2, 3)
+squares in about 6 ms, and finds their 49 orbits in about 25 ms.
 
 Squares are enumerated up to symbol relabelling (first row 0..n-1); every
 square is some relabelling pi of a canonical square C, and
@@ -47,39 +48,55 @@ def _free_symbols(n: int) -> np.ndarray:
     return free.view(np.uint64).ravel()
 
 
-def _fill_squares(n: int, group_of: list[int], first_row_fixed: bool) -> np.ndarray:
-    """Every order-n latin square, as the sorted rows of an (N, n*n) uint8
-    array, in which each group of cells (``group_of[pos]`` in 0..n-1) also
-    holds every symbol.  With ``first_row_fixed`` the first row reads 0..n-1.
+def _fill_squares(n: int, groups, first_row_fixed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every order-n latin square in which each group of cells also holds
+    every symbol, for each family (a flat row) of a (k, n*n) table of group
+    ids 0..n-1: the rows of an (N, n*n) uint8 array, by family and sorted in
+    it, and their families.  With ``first_row_fixed`` row 0 reads 0..n-1.
 
     Breadth first, one cell per level in row-major order: every partial
     square takes each symbol its row, column and group leave free, parents
     in order and symbols ascending.  Levels keep only symbols and parent
-    indices; the squares are read back from them once, at the end.
+    indices; the squares and their families (roots) are read back at the end.
     """
+    if not len(groups):
+        return np.zeros((0, n * n), dtype=np.uint8), np.zeros(0, dtype=np.intp)
     free = _free_symbols(n)
     start = n if first_row_fixed else 0
+    # a cell's group column when every family shares it, else -1 (kept per family)
+    shared = [1 + n + col[0] if col.count(col[0]) == len(col) else -1 for col in zip(*groups)]
+    family = columns = None
+    if -1 in shared[start:]:
+        family, columns = np.arange(len(groups)), 1 + n + np.asarray(groups, dtype=np.intp)
     # each partial square's used-symbol masks (its current row, then its n
     # columns and n groups) padded to whole 8-byte words, which gather fastest
-    state = np.zeros((1, (2 * n + 8) // 8 * 8), dtype=np.uint8)
-    for c in range(start):
-        state[0, 1 + c] = 1 << c
-        state[0, 1 + n + group_of[c]] |= 1 << c
+    width = (2 * n + 8) // 8 * 8
+    state = np.zeros((len(groups), width), dtype=np.uint8)
+    for f, group_of in enumerate(groups):
+        for c in range(start):
+            state[f, 1 + c] = 1 << c
+            state[f, 1 + n + group_of[c]] |= 1 << c
     levels = []
     for pos in range(start, n * n):
-        c, g = 1 + pos % n, 1 + n + group_of[pos]
+        c, g = 1 + pos % n, shared[pos]
         if c == 1:
             state[:, 0] = 0
+        # a shared group is one column; else each square's own, by flat index
+        group = state[:, g] if g >= 0 else state.reshape(-1).take(
+            columns[family, pos] + np.arange(0, state.size, width))
         # byte 8*i + s is set when symbol s is free in partial square i
-        hit = np.flatnonzero(free.take(state[:, 0] | state[:, c] | state[:, g]).view(bool))
+        hit = np.flatnonzero(free.take(state[:, 0] | state[:, c] | group).view(bool))
         parent, symbol = hit >> 3, (hit & 7).astype(np.uint8)
-        if not len(parent):
-            return np.zeros((0, n * n), dtype=np.uint8)
         bit = np.uint8(1) << symbol
         state = state.take(parent, axis=0)
         state[:, 0] |= bit
         state[:, c] |= bit
-        state[:, g] |= bit
+        if family is not None:
+            family = family.take(parent)
+        if g >= 0:
+            state[:, g] |= bit
+        else:
+            state.reshape(-1)[columns[family, pos] + np.arange(0, state.size, width)] |= bit
         levels.append((pos, symbol, parent))
     out = np.empty((len(state), n * n), dtype=np.uint8)
     out[:, :start] = np.arange(start, dtype=np.uint8)
@@ -87,7 +104,7 @@ def _fill_squares(n: int, group_of: list[int], first_row_fixed: bool) -> np.ndar
     for pos, symbol, parent in reversed(levels):
         out[:, pos] = symbol.take(leaf)
         leaf = parent.take(leaf)
-    return out
+    return out, leaf
 
 
 def enumerate_squares(n: int, box_type: BoxType, first_row_fixed: bool = True) -> np.ndarray:
@@ -97,7 +114,7 @@ def enumerate_squares(n: int, box_type: BoxType, first_row_fixed: bool = True) -
     With ``first_row_fixed`` only squares whose first row reads 0..n-1 are
     produced, one per symbol-relabelling class.
     """
-    return _fill_squares(n, box_type.cell_boxes(), first_row_fixed)
+    return _fill_squares(n, [box_type.cell_boxes()], first_row_fixed)[0]
 
 
 @cache
@@ -127,6 +144,8 @@ def orbit_representatives(canon: np.ndarray, n: int, group: np.ndarray) -> list[
     canonical form): each orbit's least index, in ascending order."""
     if n > MAX_SUDOKU_ORDER:
         raise ValueError(f"orbit keys support orders up to {MAX_SUDOKU_ORDER}, got {n}")
+    if len(canon) == 1:
+        return [0]
     # rows 1..n-2 by columns 0..n-2 fix a latin square with a fixed first row and
     # sort as it does; as base-n digits they are exact in float64 (6**20 < 2**53)
     digits = [r * n + c for r in range(1, n - 1) for c in range(n - 1)]

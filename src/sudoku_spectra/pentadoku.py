@@ -92,27 +92,33 @@ Grid = tuple[tuple[int, ...], ...]
 
 
 @cache
-def _symmetries() -> tuple[tuple[int, ...], ...]:
-    """The 8 grid symmetries as permutations of flat cell indices: the
-    transformed grid reads ``flat[p]`` for ``p`` in the permutation."""
+def _symmetries() -> np.ndarray:
+    """The 8 grid symmetries as an (8, 25) table of flat cell indices: the
+    transformed grid reads ``flat[p]`` for ``p`` in a row."""
     turns = [np.rot90(np.arange(SIZE * SIZE).reshape(SIZE, SIZE), k) for k in range(4)]
-    return tuple(tuple(t.ravel().tolist()) for g in turns for t in (g, g[:, ::-1]))
+    return np.array([t.ravel() for g in turns for t in (g, g[:, ::-1])])
 
 
-def _images(flat) -> list[str]:
-    """The cage string of each of the 8 symmetric images of a flat grid,
-    cage ids renumbered in first-appearance order."""
-    keys = []
-    for perm in _symmetries():
-        ids: dict[int, str] = {}
-        keys.append("".join([ids.setdefault(flat[i], str(len(ids))) for i in perm]))
-    return keys
+def _least_keys(flat: np.ndarray) -> np.ndarray:
+    """Each row's key, from an (m, 25) uint8 array of cage ids 0..4: its least symmetric image,
+    ids renumbered in first-appearance order, as 25 base-5 digits (numeric = string order)."""
+    images = flat[:, _symmetries()]
+    cells = np.arange(SIZE * SIZE, dtype=np.uint8)
+    # each id's first cell in each image (25 when it is absent), ranked: its new id
+    first = np.where(images[..., None, :] == cells[:SIZE, None], cells, SIZE * SIZE).min(axis=-1)
+    rank = first.argsort(axis=-1).argsort(axis=-1).reshape(-1)
+    digits = rank.take(images + SIZE * np.arange(len(rank) // SIZE).reshape(-1, 8, 1))
+    return (digits @ SIZE ** np.arange(SIZE * SIZE - 1, -1, -1, dtype=np.int64)).min(axis=1)
 
 
 def canonical_cage_key(grid) -> str:
     """Lexicographically least cage string over the 8 grid symmetries,
-    cage ids renumbered in first-appearance order."""
-    return min(_images(np.asarray(grid).ravel().tolist()))
+    cage ids (any five integers) renumbered in first-appearance order."""
+    ids, inverse = np.unique(grid, return_inverse=True)
+    if np.shape(grid) != (SIZE, SIZE) or len(ids) > SIZE:
+        raise ValueError(f"cage grid must be 5x5 with at most 5 distinct ids, got {np.shape(grid)}")
+    key = _least_keys(inverse.astype(np.uint8).reshape(1, -1))[0]
+    return np.base_repr(key, SIZE).zfill(SIZE * SIZE)
 
 
 @dataclass(frozen=True)
@@ -180,44 +186,44 @@ def _placements() -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]:
     return tuple(tuple(bucket) for bucket in by_cell)
 
 
+@cache
+def _placement_table() -> np.ndarray:
+    """``_placements()`` as a (25, widest bucket) int64 table, each shape bit above its cell
+    mask, padded with -1, which meets the sign bit that every partial tiling holds."""
+    rows = [[bit << SIZE * SIZE | mask for bit, mask, _ in bucket] for bucket in _placements()]
+    return np.array([row + [-1] * (max(map(len, rows)) - len(row)) for row in rows], dtype=np.int64)
+
+
 def enumerate_tilings() -> tuple[Tiling, ...]:
     """All tilings of the grid by five distinct free pentominoes, one
     canonical representative per symmetry class, in sorted key order.
 
-    An exact cover over bitmasks (Knuth, TAOCP Vol. 4B, 7.2.2.1): the
-    lowest uncovered cell must be the least cell of the next placement,
-    so each tiling is reached once.
+    An exact cover over bitmasks (Knuth, TAOCP Vol. 4B, 7.2.2.1), breadth
+    first: at level i every partial tiling takes, as cage i, each placement
+    whose least cell is its lowest uncovered cell, so each of the 856
+    tilings is reached once.  All their 8 x 856 images are keyed at once.
     """
-    by_cell = _placements()
-    full = (1 << SIZE * SIZE) - 1
-    # never cleared: at a leaf every cell was written on the current path
-    cages = [0] * (SIZE * SIZE)
-    seen: set[str] = set()  # every image of each class found so far
-    canonical: set[str] = set()
-
-    def place(cage: int, filled: int, used: int) -> None:
-        if filled == full:
-            # cages are numbered by least cell, so already in first-appearance order
-            if "".join(map(str, cages)) not in seen:
-                images = _images(cages)
-                seen.update(images)
-                canonical.add(min(images))
-            return
-        for bit, mask, cells in by_cell[((filled + 1) & ~filled).bit_length() - 1]:
-            if not (used & bit or filled & mask):
-                for i in cells:
-                    cages[i] = cage
-                place(cage + 1, filled | mask, used | bit)
-
-    place(0, 0, 0)
-    return tuple(
-        Tiling.from_grid(np.array(list(key), dtype=int).reshape(SIZE, SIZE)) for key in sorted(canonical)
-    )
+    table = _placement_table()
+    taken = np.full(1, -1 << 63, dtype=np.int64)  # covered cells, used shapes above them
+    levels = []
+    for _ in range(SIZE):
+        place = table[np.frexp((taken + 1) & ~taken)[1] - 1]  # lowest uncovered cell, bit < 2**25
+        hit = np.flatnonzero((place & taken[:, None]) == 0)
+        parent, place = hit // table.shape[1], place.reshape(-1).take(hit)
+        taken = taken.take(parent) | place
+        levels.append((parent, place))
+    grids, leaf = np.zeros((len(taken), SIZE * SIZE), dtype=np.uint8), np.arange(len(taken))
+    for cage, (parent, place) in reversed(list(enumerate(levels))):
+        grids[place.take(leaf)[:, None] >> np.arange(SIZE * SIZE) & 1 == 1] = cage
+        leaf = parent.take(leaf)
+    keys = np.unique(_least_keys(grids))[:, None]
+    grids = keys // SIZE ** np.arange(SIZE * SIZE - 1, -1, -1, dtype=np.int64) % SIZE
+    return tuple(Tiling.from_grid(grid.reshape(SIZE, SIZE)) for grid in grids)
 
 
 def _cage_solutions(tiling: Tiling, up_to_relabelling: bool = True) -> np.ndarray:
     """``solve_cage_latin``'s squares as the rows of an (N, 25) uint8 array."""
-    return _fill_squares(SIZE, [v for row in tiling.grid for v in row], up_to_relabelling)
+    return _fill_squares(SIZE, [sum(tiling.grid, ())], up_to_relabelling)[0]
 
 
 def solve_cage_latin(tiling: Tiling, up_to_relabelling: bool = True) -> tuple[LatinSquare, ...]:
@@ -266,8 +272,9 @@ class TilingClass:
         return FULL_SPECTRUM - self.spectrum
 
 
-def classify_tiling(tiling: Tiling) -> TilingClass:
-    solutions = _cage_solutions(tiling)
+def classify_tiling(tiling: Tiling, solutions: np.ndarray | None = None) -> TilingClass:
+    if solutions is None:
+        solutions = _cage_solutions(tiling)
     if not len(solutions):
         return TilingClass(tiling, 0, frozenset(), "unsolvable")
     spectrum = tiling_spectrum(tiling, solutions)
@@ -295,9 +302,11 @@ class CensusReport:
 
 
 def classify_all(tilings: tuple[Tiling, ...] | None = None) -> CensusReport:
-    if tilings is None:
-        tilings = enumerate_tilings()
-    return CensusReport(tuple(classify_tiling(t) for t in tilings))
+    """Classify the tilings (all when not given), solved in one fill, a family each."""
+    tilings = enumerate_tilings() if tilings is None else tuple(tilings)
+    solutions, family = _fill_squares(SIZE, [sum(t.grid, ()) for t in tilings], True)
+    parts = np.split(solutions, np.searchsorted(family, np.arange(1, len(tilings))))
+    return CensusReport(tuple(classify_tiling(t, s) for t, s in zip(tilings, parts)))
 
 
 CENSUS_CONVENTIONS = {
@@ -308,10 +317,12 @@ CENSUS_CONVENTIONS = {
     "canonical_solution": "first row reads 0 1 2 3 4; raw count = 120 x canonical",
     "spectrum": "intersection sizes over ordered pairs of raw solutions",
 }
+CENSUS_FIELDS = ("cage_grid", "shapes", "canonical_solutions", "raw_solutions", "category",
+                 "spectrum", "missing")
 
 
 def write_census(report: CensusReport, out, fmt: str = "csv") -> None:
-    """Write one row per tiling; ``out`` is a writable text file object."""
+    """Write one row of ``CENSUS_FIELDS`` per tiling to a writable text file object."""
     rows = [
         {
             "cage_grid": "|".join("".join(str(v) for v in row) for row in cls.tiling.grid),
@@ -332,7 +343,7 @@ def write_census(report: CensusReport, out, fmt: str = "csv") -> None:
         raise ValueError(f"unknown census format {fmt!r}")
     for key, value in CENSUS_CONVENTIONS.items():
         out.write(f"# {key}: {value}\n")
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+    writer = csv.DictWriter(out, fieldnames=CENSUS_FIELDS)
     writer.writeheader()
     writer.writerows(rows)
 

@@ -245,8 +245,9 @@ def _recursive_fill(n, group_of, first_row_fixed):
 
 
 def _assert_kernel_matches_oracle(n, group_of, first_row_fixed):
-    got = _fill_squares(n, group_of, first_row_fixed)
+    got, family = _fill_squares(n, [group_of], first_row_fixed)
     want = _recursive_fill(n, group_of, first_row_fixed)
+    assert family.shape == (len(got),) and not family.any()
     assert got.dtype == np.uint8 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     keys = got.view(f"S{n * n}").ravel()  # strictly increasing rows
@@ -276,6 +277,61 @@ def test_fill_kernel_matches_recursive_oracle_on_every_cage_grid(census):
             if cls.category == "unsolvable":
                 assert got.shape == (0, 25) and got.dtype == np.uint8
     assert census.value.count("unsolvable") > 0
+
+
+def _assert_families_match_oracle(n, groups, first_row_fixed, oracle=_recursive_fill):
+    """Run the kernel once on a table of group layouts and check each
+    family's rows against the oracle run on that family alone."""
+    got, family = _fill_squares(n, groups, first_row_fixed)
+    assert got.dtype == np.uint8 and got.shape[1] == n * n and family.shape == (len(got),)
+    assert (np.diff(family) >= 0).all()
+    bounds = np.searchsorted(family, np.arange(len(groups) + 1))
+    for f, group_of in enumerate(groups):
+        rows = got[bounds[f]:bounds[f + 1]]
+        assert rows.tobytes() == oracle(n, list(group_of), first_row_fixed).tobytes(), f
+    return got, bounds
+
+
+def _relabelled_oracle(n, group_of, first_row_fixed):
+    """Every relabelling of the oracle's canonical squares, sorted: the
+    squares with a free first row, as the symbol group acts freely."""
+    canon = _recursive_fill(n, group_of, True)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+    raw = perms[:, canon].reshape(-1, n * n)
+    return raw[np.lexsort(raw.T[::-1])]
+
+
+def test_multi_family_kernel_matches_the_oracle_on_every_cage_grid(census):
+    classes = census.value.classes
+    grids = [[v for row in cls.tiling.grid for v in row] for cls in classes]
+    got, bounds = _assert_families_match_oracle(5, grids, True)
+    assert np.diff(bounds).tolist() == [cls.canonical_solutions for cls in classes]
+    assert census.value.count("unsolvable") == 4
+    # with a free first row, every family against all relabellings of its
+    # canonical squares, and a few (the unsolvable ones among them) against
+    # the recursive oracle itself, which takes about 0.1 s a family
+    got, bounds = _assert_families_match_oracle(5, grids, False, _relabelled_oracle)
+    assert np.diff(bounds).tolist() == [cls.raw_solutions for cls in classes]
+    picked = [i for i, cls in enumerate(classes) if cls.category == "unsolvable"]
+    picked += range(0, 107, 20)
+    for i in picked:
+        assert got[bounds[i]:bounds[i + 1]].tobytes() == _recursive_fill(5, grids[i], False).tobytes()
+
+
+@pytest.mark.parametrize("first_row_fixed", [True, False])
+def test_multi_family_kernel_matches_the_oracle_on_mixed_box_types(first_row_fixed):
+    # the families put cells 0, 1, 6-9, 14 and 15 in the same group and the
+    # rest not, so the kernel reads both shared columns and per-family ones
+    groups = [BoxType(1, 4).cell_boxes(), BoxType(2, 2).cell_boxes(), BoxType(1, 4).cell_boxes()]
+    got, bounds = _assert_families_match_oracle(4, groups, first_row_fixed)
+    sizes = (24, 12, 24) if first_row_fixed else (576, 288, 576)
+    assert np.diff(bounds).tolist() == list(sizes)
+
+
+def test_kernel_takes_zero_families():
+    for table in ([], np.zeros((0, 25), dtype=np.int64)):
+        got, family = _fill_squares(5, table, True)
+        assert got.shape == (0, 25) and got.dtype == np.uint8 and family.shape == (0,)
 
 
 def _report_digest(report):
@@ -318,3 +374,13 @@ def test_2x3_report_is_pinned(sudoku_23_report):
     # 49 representatives by 39,168 squares in chunks of 1,456 pairs: chunks
     # span two representatives, and the last one is short
     assert _report_digest(sudoku_23_report.value) == REPORT_2X3_SHA256
+
+
+def test_a_family_of_one_square_is_one_orbit():
+    # at n = 2 the general path fails on this table, which maps both cells to one
+    for n in (1, 2):
+        canon = enumerate_squares(n, BoxType(1, n))
+        assert len(canon) == 1
+        assert orbit_representatives(canon, n, np.zeros((1, n * n), dtype=np.int32)) == [0]
+    assert {hw: _report_digest(brute_force_spectrum(*hw)) for hw in [(1, 1), (1, 2), (1, 3)]} == {
+        hw: REPORT_SHA256[hw] for hw in [(1, 1), (1, 2), (1, 3)]}

@@ -20,6 +20,7 @@ import sudoku_spectra
 from sudoku_spectra.pentadoku import (
     CATEGORIES,
     CENSUS_CONVENTIONS,
+    CENSUS_FIELDS,
     RIGID_SOLUTION,
     RIGID_TILING,
     FULL_SPECTRUM,
@@ -28,6 +29,7 @@ from sudoku_spectra.pentadoku import (
     RIGID_SPECTRUM,
     Tiling,
     _placements,
+    _symmetries,
     canonical_cage_key,
     census_text,
     classify_all,
@@ -78,6 +80,41 @@ def test_canonical_key_is_symmetry_invariant():
             assert canonical_cage_key(t) == tiling.key()
 
 
+def _reference_key(grid):
+    """The oracle: the least cage string over the 8 symmetric images, each
+    renumbered in first-appearance order, in plain Python."""
+    keys = []
+    for image in _grid_symmetries(grid):
+        ids = {}
+        keys.append("".join(ids.setdefault(v, str(len(ids))) for v in image.ravel().tolist()))
+    return min(keys)
+
+
+def test_canonical_key_matches_the_plain_reference():
+    images = [t for tiling in enumerate_tilings() for t in _grid_symmetries(tiling.grid)]
+    assert len(images) == 856
+    rng = np.random.default_rng(2021)
+    grids = images + list(rng.integers(0, 5, size=(200, 5, 5)))
+    for grid in grids:
+        assert canonical_cage_key(grid) == _reference_key(grid)
+    # the table is the test's rotations and reflections, in its order
+    assert _symmetries().tolist() == [
+        t.ravel().tolist() for t in _grid_symmetries(np.arange(25).reshape(5, 5))]
+
+
+def test_canonical_key_takes_any_five_ids_on_a_5x5_grid_only():
+    with pytest.raises(ValueError, match=r"5x5 with at most 5 distinct ids, got \(6, 6\)"):
+        canonical_cage_key([[0] * 6] * 6)
+    with pytest.raises(ValueError, match=r"got \(2, 2\)"):
+        canonical_cage_key([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match=r"at most 5 distinct ids, got \(5, 5\)"):
+        canonical_cage_key(np.arange(25).reshape(5, 5) % 6)
+    relabel = np.array([3, 7, 8, 9, 12])
+    grid = np.asarray(RIGID_TILING.grid)
+    assert canonical_cage_key(relabel[grid]) == canonical_cage_key(grid) == _reference_key(grid)
+    assert canonical_cage_key([[4] * 5] * 5) == "0" * 25
+
+
 def test_placement_table():
     names = list(PENTOMINO_ORIENTATIONS)
     table = _placements()
@@ -106,12 +143,13 @@ def test_import_builds_no_tables_and_loads_no_process_pool():
     code = (
         "import sys, sudoku_spectra.pentadoku as p; "
         "print(p._placements.cache_info().currsize, p._symmetries.cache_info().currsize, "
+        "p._placement_table.cache_info().currsize, "
         "'concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(sudoku_spectra.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0", "False", "False"]
+    assert out.split() == ["0", "0", "0", "False", "False"]
 
 
 def test_tiling_validation():
@@ -281,10 +319,21 @@ def test_census_json_output(census):
     obj = json.loads(census_text(census.value, "json"))
     assert obj["conventions"] == CENSUS_CONVENTIONS
     assert len(obj["tilings"]) == 107
+    assert all(tuple(row) == CENSUS_FIELDS for row in obj["tilings"])
     cats = {t["category"] for t in obj["tilings"]}
     assert cats == set(CATEGORIES)
     with pytest.raises(ValueError):
         census_text(census.value, "xml")
+
+
+def test_an_empty_census_writes_its_header():
+    report = classify_all(())
+    assert report.classes == ()
+    lines = census_text(report, "csv").splitlines()
+    assert len(lines) == len(CENSUS_CONVENTIONS) + 1
+    assert lines[-1] == ",".join(CENSUS_FIELDS)
+    obj = json.loads(census_text(report, "json"))
+    assert obj == {"conventions": CENSUS_CONVENTIONS, "tilings": []}
 
 
 def test_intersections_of_rigid_solutions_hit_rigid_values_only():
