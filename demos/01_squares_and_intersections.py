@@ -7,11 +7,10 @@ import numpy as np
 
 from sudoku_spectra import (
     BoxType,
+    LatinSquare,
     SudokuSquare,
     cyclic_square,
-    intersection,
     intersection_size,
-    permute_symbols,
     serialize,
     validate_sudoku,
 )
@@ -25,14 +24,12 @@ def main():
     print()
 
     # swapping two symbols changes exactly the cells holding them
-    swapped = permute_symbols(l, [1, 0, 2, 3, 4, 5])
+    swapped = LatinSquare(np.array([1, 0, 2, 3, 4, 5])[l.cells])
     print("cells agreeing after swapping symbols 0 and 1:",
           intersection_size(l, swapped), "of 36")
 
-    common = intersection(l, swapped)
-    rows_touched = {r for r, _, _ in common}
-    print("every row keeps", len(common) // 6, "of its 6 cells;",
-          "rows touched:", sorted(rows_touched))
+    kept = (l.cells == swapped.cells).sum(axis=1)
+    print("cells kept per row:", kept.tolist())
     print()
 
     # the same grid can respect one box shape and break another

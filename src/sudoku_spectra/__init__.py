@@ -25,17 +25,11 @@ from .core import (
     LatinSquare,
     LatinViolationError,
     MalformedInputError,
-    PartialSquare,
     SudokuSquare,
     ValidationError,
     ValidationReport,
     cyclic_square,
-    intersection,
     intersection_size,
-    permute_cols,
-    permute_rows,
-    permute_symbols,
-    transpose,
     validate_latin,
     validate_sudoku,
 )
@@ -46,16 +40,7 @@ from .enumeration import (
     enumerate_squares,
 )
 from .formats import ParseError, parse, parse_grid, parse_json, parse_single_line, serialize
-from .markov import (
-    ChainState,
-    drift_near,
-    jm_step,
-    random_latin_square,
-    resolve_proper,
-    row_derangement,
-    sample_sudoku,
-)
-from .markov import SampleError, sample_latin_chain
+from .markov import SampleError, random_latin_square, sample_sudoku
 from .pentadoku import (
     CATEGORIES,
     RIGID_SOLUTION,

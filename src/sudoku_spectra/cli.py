@@ -7,7 +7,8 @@ Subcommands:
 * ``verify``: parse two squares, validate them, print their intersection.
 * ``spectrum``: print the spectrum from the theorem, by brute force, or
   as witnessed by the seed fixtures.
-* ``sample``: print a random Sudoku square, deterministic per ``--seed``.
+* ``sample``: print a random Sudoku square from the backtracking sampler,
+  deterministic per ``--seed``.
 * ``pentadoku``: run the 5x5 pentomino-cage census.
 
 Exit codes: 0 on success, 2 when a requested value lies outside the
@@ -24,7 +25,7 @@ from .construct import sudoku_spectrum
 from .core import BoxType, intersection_size
 from .enumeration import brute_force_spectrum
 from .formats import STYLES, parse, serialize
-from .markov import SampleError, drift_near, sample_sudoku
+from .markov import SampleError, sample_sudoku
 from .pentadoku import classify_all, write_census
 from .seeds import DATABASE
 from .spectrum import (
@@ -116,9 +117,6 @@ def cmd_spectrum(args) -> int:
 def cmd_sample(args) -> int:
     budget = {} if args.effort is None else {"effort": args.effort}
     square = sample_sudoku(args.h, args.w, rng=args.seed, **budget)
-    if args.steps:
-        square = drift_near(square, rng=args.seed + 1 if args.seed is not None else None,
-                            steps=args.steps)
     print(serialize(square, args.format))
     return 0
 
@@ -172,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="print a random Sudoku square")
     _box_args(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=0, help="extra chain steps after sampling")
     p.add_argument("--effort", type=int, default=None,
                    help="backtracking budget: effort * n^2 nodes per attempt, over the "
                         "sampler's restarts (default: the sampler's own)")
@@ -190,10 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("steps", "effort"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            parser.error(f"argument --{flag}: must be at least 0, got {value}")
+    effort = getattr(args, "effort", None)
+    if effort is not None and effort < 0:
+        parser.error(f"argument --effort: must be at least 0, got {effort}")
     try:
         return args.func(args)
     except (ValueError, OSError, SampleError) as exc:

@@ -1,4 +1,5 @@
-"""Core grid types: latin squares, Sudoku latin squares, partial squares.
+"""Core grid types: latin squares and Sudoku latin squares, their
+validation, and the intersection size of two squares.
 
 Symbols are 0-based everywhere: an order-n square is filled with 0..n-1.
 A Sudoku square of box type (h, w) is an order h*w latin square whose
@@ -15,7 +16,7 @@ import numpy as np
 
 
 class MalformedInputError(ValueError):
-    """Structurally bad input: not square, out-of-range symbols, bad permutation."""
+    """Structurally bad input: not square, out-of-range symbols, mismatched orders."""
 
 
 class ValidationError(ValueError):
@@ -102,10 +103,6 @@ class BoxType:
 
     def transposed(self) -> "BoxType":
         return BoxType(self.w, self.h)
-
-    def box_origin(self, p: int, q: int) -> tuple[int, int]:
-        # box (p, q), p in 0..w-1 bands, q in 0..h-1 stacks
-        return p * self.h, q * self.w
 
     def boxes(self) -> Iterable[tuple[int, int]]:
         return ((p, q) for p in range(self.w) for q in range(self.h))
@@ -342,99 +339,12 @@ def _cells_of(x: GridLike) -> np.ndarray:
     return as_grid(x)
 
 
-class PartialSquare:
-    """A partial latin square: a set of (row, col, symbol) triples, no cell
-    or line used twice."""
-
-    __slots__ = ("order", "triples")
-
-    def __init__(self, order: int, triples: Iterable[tuple[int, int, int]]):
-        triples = frozenset((int(r), int(c), int(s)) for r, c, s in triples)
-        cells = set()
-        rows_used = set()
-        cols_used = set()
-        for r, c, s in triples:
-            if not (0 <= r < order and 0 <= c < order and 0 <= s < order):
-                raise MalformedInputError(f"triple {(r, c, s)} out of range for order {order}")
-            if (r, c) in cells:
-                raise MalformedInputError(f"cell ({r}, {c}) filled twice")
-            cells.add((r, c))
-            if (r, s) in rows_used:
-                raise LatinViolationError(Violation("row", (r,), s))
-            if (c, s) in cols_used:
-                raise LatinViolationError(Violation("column", (c,), s))
-            rows_used.add((r, s))
-            cols_used.add((c, s))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "triples", triples)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialSquare is immutable")
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __iter__(self):
-        return iter(sorted(self.triples))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PartialSquare):
-            return NotImplemented
-        return self.order == other.order and self.triples == other.triples
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.triples))
-
-
-def intersection(a: GridLike, b: GridLike) -> PartialSquare:
-    """Cells where two equal-order squares agree, as a partial square."""
-    ca, cb = _cells_of(a), _cells_of(b)
-    if ca.shape != cb.shape:
-        raise MalformedInputError(f"order mismatch: {ca.shape[0]} vs {cb.shape[0]}")
-    rr, cc = np.nonzero(ca == cb)
-    return PartialSquare(ca.shape[0], zip(rr.tolist(), cc.tolist(), ca[rr, cc].tolist()))
-
-
 def intersection_size(a: GridLike, b: GridLike) -> int:
-    """|intersection(a, b)| without building the triple set."""
+    """The number of cells where two equal-order squares agree."""
     ca, cb = _cells_of(a), _cells_of(b)
     if ca.shape != cb.shape:
         raise MalformedInputError(f"order mismatch: {ca.shape[0]} vs {cb.shape[0]}")
     return int((ca == cb).sum())
-
-
-def _check_perm(pi: Sequence[int], n: int) -> np.ndarray:
-    arr = np.asarray(pi, dtype=np.int64)
-    if arr.shape != (n,) or sorted(arr.tolist()) != list(range(n)):
-        raise MalformedInputError(f"not a permutation of 0..{n - 1}: {list(pi)}")
-    return arr
-
-
-def permute_symbols(s: LatinSquare, pi: Sequence[int]) -> LatinSquare:
-    """Relabel symbols: k becomes pi[k]."""
-    arr = _check_perm(pi, s.order)
-    return LatinSquare(arr[s.cells])
-
-
-def permute_rows(s: LatinSquare, pi: Sequence[int]) -> LatinSquare:
-    """Row i of the result is row pi[i] of the input."""
-    arr = _check_perm(pi, s.order)
-    return LatinSquare(s.cells[arr])
-
-
-def permute_cols(s: LatinSquare, pi: Sequence[int]) -> LatinSquare:
-    """Column j of the result is column pi[j] of the input."""
-    arr = _check_perm(pi, s.order)
-    return LatinSquare(s.cells[:, arr])
-
-
-def transpose(s: LatinSquare) -> LatinSquare:
-    return LatinSquare(s.cells.T)
-
-
-def relabel_sudoku(s: SudokuSquare, pi: Sequence[int]) -> SudokuSquare:
-    """Symbol relabelling preserves boxes, so the result keeps the box type."""
-    return SudokuSquare(permute_symbols(s.square, pi), s.box_type)
 
 
 @lru_cache(maxsize=32)

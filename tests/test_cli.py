@@ -208,9 +208,8 @@ def test_sample_is_deterministic_and_parseable(capsys):
     parse(out1.strip(), BoxType(3, 3), "single_line")
 
 
-def test_sample_grid_format_and_drift(capsys):
-    rc, out, _ = run(capsys, "sample", "--h", "2", "--w", "4", "--seed", "3",
-                     "--steps", "4", "--format", "grid")
+def test_sample_grid_format(capsys):
+    rc, out, _ = run(capsys, "sample", "--h", "2", "--w", "4", "--seed", "3", "--format", "grid")
     assert rc == 0
     parse(out, BoxType(2, 4), "grid")
 
@@ -244,9 +243,8 @@ def test_sample_above_the_sampler_order_exits_1(capsys):
 
 
 @pytest.mark.parametrize("argv, flag, low", [
-    (["sample", "--h", "2", "--w", "3", "--steps", "-1"], "--steps", 0),
     (["sample", "--h", "2", "--w", "3", "--effort", "-1"], "--effort", 0),
-], ids=["steps-negative", "effort-negative"])
+], ids=["effort-negative"])
 def test_counts_below_their_floor_are_usage_errors(capsys, argv, flag, low):
     with pytest.raises(SystemExit) as e:
         main(argv)
@@ -257,7 +255,7 @@ def test_counts_below_their_floor_are_usage_errors(capsys, argv, flag, low):
 
 
 def test_counts_at_their_floor_are_accepted(capsys):
-    rc, out, _ = run(capsys, "sample", "--h", "2", "--w", "2", "--seed", "1", "--steps", "0")
+    rc, out, _ = run(capsys, "sample", "--h", "2", "--w", "2", "--seed", "1")
     assert rc == 0 and out.strip() == serialize(sample_sudoku(2, 2, 1), "single_line")
     rc, out, _ = run(capsys, "spectrum", "--h", "2", "--w", "2", "--mode", "brute")
     assert rc == 0 and out.split() == "0 1 2 3 4 6 8 9 12 16".split()
@@ -269,7 +267,9 @@ def test_counts_at_their_floor_are_accepted(capsys):
     # the census and the brute-force sweep run serially
     ["pentadoku", "--threads", "2"],
     ["spectrum", "--h", "2", "--w", "3", "--mode", "brute", "--threads", "2"],
-], ids=["realize-seed", "pentadoku-threads", "spectrum-threads"])
+    # the sampler has one path, so there are no chain steps to add
+    ["sample", "--h", "2", "--w", "3", "--steps", "1"],
+], ids=["realize-seed", "pentadoku-threads", "spectrum-threads", "sample-steps"])
 def test_realize_has_no_seed_flag(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(argv)

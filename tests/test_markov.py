@@ -1,4 +1,4 @@
-"""Randomized samplers and the incidence-cube chain."""
+"""The backtracking sampler: Sudoku squares and latin squares."""
 
 import hashlib
 
@@ -8,41 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sudoku_spectra import markov
-from sudoku_spectra.core import (
-    BoxType,
-    LatinSquare,
-    cyclic_square,
-    intersection_size,
-    validate_latin,
-    validate_sudoku,
-)
-from sudoku_spectra.markov import (
-    ChainState,
-    SampleError,
-    drift_near,
-    ensure_rng,
-    jm_step,
-    random_latin_square,
-    resolve_proper,
-    row_derangement,
-    sample_latin_chain,
-    sample_sudoku,
-)
+from sudoku_spectra.core import BoxType, validate_latin, validate_sudoku
+from sudoku_spectra.markov import SampleError, random_latin_square, sample_sudoku
 from sudoku_spectra.spectrum import PairCache, realize_latin_pair
 
 
-def test_ensure_rng_passthrough_and_seeding():
-    g = np.random.default_rng(0)
-    assert ensure_rng(g) is g
-    a = ensure_rng(123).integers(1 << 30)
-    b = ensure_rng(123).integers(1 << 30)
-    assert a == b
+def test_rng_passthrough_and_seeding():
+    # a passed Generator is used as is, so consecutive calls continue its
+    # stream; an int seed repeats its square
+    shared = np.random.default_rng(123)
+    first, second = sample_sudoku(2, 3, shared), sample_sudoku(2, 3, shared)
+    fresh = np.random.default_rng(123)
+    assert sample_sudoku(2, 3, fresh) == first
+    assert sample_sudoku(2, 3, fresh) == second
+    assert first != second
+    assert sample_sudoku(2, 3, 123) == sample_sudoku(2, 3, 123) == first
 
 
 def test_samplers_are_deterministic_in_the_seed():
     assert random_latin_square(6, 42) == random_latin_square(6, 42)
     assert sample_sudoku(2, 3, 42) == sample_sudoku(2, 3, 42)
-    assert sample_latin_chain(4, 42) == sample_latin_chain(4, 42)
     assert random_latin_square(6, 42) != random_latin_square(6, 43)
 
 
@@ -198,84 +183,3 @@ def test_sampler_returns_a_square_or_raises_within_its_budget(box, seed, effort)
     assert validate_sudoku(square.cells, BoxType(h, w)).ok
     # the budget only cuts the search short, so more of it finds the same square
     assert sample_sudoku(h, w, seed, effort=effort + 5, restarts=1) == square
-
-
-def test_chain_invariants_hold_along_the_walk():
-    rng = np.random.default_rng(52)
-    for n in (2, 3, 4, 5):
-        state = ChainState.from_square(random_latin_square(n, rng))
-        state.check()
-        for _ in range(300):
-            state = jm_step(state, rng)
-            state.check()
-        state = resolve_proper(state, rng)
-        assert validate_latin(state.grid().cells).ok
-
-
-def test_chain_visits_improper_states():
-    rng = np.random.default_rng(53)
-    state = ChainState.from_square(cyclic_square(4))
-    flavors = set()
-    for _ in range(200):
-        state = jm_step(state, rng)
-        flavors.add(state.proper)
-    assert flavors == {True, False}
-
-
-def test_chain_reaches_every_small_square():
-    # order 3 has 12 latin squares; a short walk should see them all
-    rng = np.random.default_rng(54)
-    state = ChainState.from_square(cyclic_square(3))
-    seen = set()
-    for _ in range(4000):
-        state = jm_step(state, rng)
-        if state.proper:
-            seen.add(state.grid())
-    assert len(seen) == 12
-
-
-def test_improper_state_has_no_grid():
-    rng = np.random.default_rng(55)
-    state = ChainState.from_square(cyclic_square(4))
-    while state.proper:
-        state = jm_step(state, rng)
-    with pytest.raises(ValueError):
-        state.grid()
-    state.check()
-
-
-def test_chain_rejects_order_one():
-    with pytest.raises(ValueError):
-        jm_step(ChainState.from_square(cyclic_square(1)), 0)
-
-
-def test_drift_near_stays_close_and_valid():
-    rng = np.random.default_rng(56)
-    base = sample_sudoku(2, 4, rng)
-    moved = drift_near(base, 1, steps=5)
-    assert moved.box_type == base.box_type
-    assert validate_sudoku(moved.cells, moved.box_type).ok
-    assert drift_near(base, 1, steps=5) == moved  # deterministic
-    assert drift_near(base, 1, steps=0) == base
-    # a handful of excursions keeps most of the square intact
-    assert intersection_size(base, moved) >= 16
-
-
-def test_row_derangement_moves_every_row():
-    rng = np.random.default_rng(57)
-    for h, w in [(2, 2), (2, 3), (3, 3), (3, 4)]:
-        base = sample_sudoku(h, w, rng)
-        moved = row_derangement(base, 2)
-        assert moved.box_type == base.box_type
-        assert not np.any(np.all(moved.cells == base.cells, axis=1))
-        assert sorted(map(tuple, moved.cells.tolist())) == sorted(
-            map(tuple, base.cells.tolist())
-        )
-        assert row_derangement(base, 2) == moved
-
-
-def test_chain_sampling_yields_valid_squares():
-    for n in (2, 3, 5):
-        sq = sample_latin_chain(n, 58, steps=50 * n)
-        assert isinstance(sq, LatinSquare)
-        assert sq.order == n
