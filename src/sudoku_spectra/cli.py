@@ -12,8 +12,8 @@ Subcommands:
 * ``pentadoku``: run the 5x5 pentomino-cage census.
 
 Exit codes: 0 on success, 2 when a requested value lies outside the
-spectrum, 1 for I/O, parse, or validation problems and for a sampler that
-gives up within its budget.
+spectrum, 1 for I/O, parse, or validation problems, for an order above
+``construct.MAX_ORDER`` and for a sampler that gives up within its budget.
 """
 from __future__ import annotations
 
@@ -28,12 +28,7 @@ from .formats import STYLES, parse, serialize
 from .markov import SampleError, sample_sudoku
 from .pentadoku import classify_all, write_census
 from .seeds import DATABASE
-from .spectrum import (
-    DEFAULT_MAX_ORDER,
-    PairCache,
-    SpectrumError,
-    realize_sudoku_pair,
-)
+from .spectrum import PairCache, SpectrumError, realize_sudoku_pair
 
 
 def _box_args(p: argparse.ArgumentParser) -> None:
@@ -48,8 +43,7 @@ def _fmt_values(values) -> str:
 def cmd_realize(args) -> int:
     cache = PairCache(args.cache) if args.cache else None
     try:
-        cert = realize_sudoku_pair(args.h, args.w, args.t, cache=cache,
-                                   max_order=args.max_order)
+        cert = realize_sudoku_pair(args.h, args.w, args.t, cache=cache)
     except SpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -146,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="target intersection size")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--cache", help="JSON memo cache file for the latin pairs built")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                   help="largest supported order h*w")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify", help="check two squares and print their intersection")

@@ -85,20 +85,23 @@ def reorder_permutation(n: int, m: int) -> np.ndarray:
 
 def sudoku_reorder(s: LatinSquare, n: int, m: int) -> SudokuSquare:
     """Reorder the rows of an order n*m product square into a Sudoku square
-    of box type (n, m).  A row permutation keeps the square latin, so only
-    its boxes are checked."""
+    of box type (n, m)."""
     if s.order != n * m:
         raise MalformedInputError(f"square order {s.order} is not {n}*{m}")
-    rows = s.cells[reorder_permutation(n, m)]
-    return SudokuSquare(LatinSquare._from_checked(rows), BoxType(n, m))
+    return SudokuSquare(s.cells[reorder_permutation(n, m)], BoxType(n, m))
+
+
+MAX_ORDER = 144  # the largest order whose spectrum, about n^2 values, is built
 
 
 @cache
 def upsilon(n: int) -> frozenset[int]:
     """{0..n^2-6} + {n^2-4, n^2}: every value except the impossible
-    near-full ones n^2-1, n^2-2, n^2-3, n^2-5.  Defined for n >= 3."""
+    near-full ones n^2-1, n^2-2, n^2-3, n^2-5.  Defined for 3 <= n <= MAX_ORDER."""
     if n < 3:
         raise ValueError(f"upsilon(n) needs n >= 3, got {n}")
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the limit {MAX_ORDER}")
     return frozenset(range(n * n - 5)) | {n * n - 4, n * n}
 
 

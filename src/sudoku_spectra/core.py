@@ -121,13 +121,12 @@ def _box_lines(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _line_offsets(shape: tuple[int, ...], box_type: BoxType | None, rows_and_columns: bool):
+def _line_offsets(shape: tuple[int, ...], box_type: BoxType | None):
     """Each cell's line index times n, one layer per family of lines to check
     in a grid or stack of grids (rows, columns, then boxes): the offsets
     that make a cell's symbol its (line, symbol) key."""
     n, grids = shape[-1], math.prod(shape[:-2])
-    r, c = np.indices((n, n))
-    lines = [r, c] if rows_and_columns else []
+    lines = list(np.indices((n, n)))
     if box_type is not None:
         lines.append(np.reshape(box_type.cell_boxes(), (n, n)))
     first = np.arange(0, len(lines) * grids * n, n).reshape(len(lines), grids, 1, 1)
@@ -136,27 +135,21 @@ def _line_offsets(shape: tuple[int, ...], box_type: BoxType | None, rows_and_col
     return offsets
 
 
-def _lines_are_permutations(
-    grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
-) -> bool:
+def _lines_are_permutations(grid: np.ndarray, box_type: BoxType | None) -> bool:
     """True iff every checked line (of every grid of a stack) holds each
     symbol 0..n-1 once: the cells' (line, symbol) keys mark every key."""
-    offsets = _line_offsets(grid.shape, box_type, rows_and_columns)
+    offsets = _line_offsets(grid.shape, box_type)
     seen = np.zeros(offsets.size, dtype=bool)
     seen[grid + offsets] = True
     return seen.all()
 
 
-def _first_violation(
-    grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
-) -> Violation:
+def _first_violation(grid: np.ndarray, box_type: BoxType | None) -> Violation:
     """The first repeat in row, column, box order, in a stack's first bad grid.
     Runs only after the vectorized check failed, so reports match a scan."""
     for square in grid.reshape(-1, *grid.shape[-2:]):
-        lines = []
-        if rows_and_columns:
-            lines += [("row", (i,), line) for i, line in enumerate(square)]
-            lines += [("column", (j,), line) for j, line in enumerate(square.T)]
+        lines = [("row", (i,), line) for i, line in enumerate(square)]
+        lines += [("column", (j,), line) for j, line in enumerate(square.T)]
         if box_type is not None:
             boxes = _box_lines(square, box_type)
             lines += [("box", pq, line) for pq, line in zip(box_type.boxes(), boxes)]
@@ -167,18 +160,16 @@ def _first_violation(
     raise AssertionError("vectorized check failed but no line repeats a symbol")
 
 
-def _check_lines(
-    grid: np.ndarray, box_type: BoxType | None, rows_and_columns: bool = True
-) -> ValidationReport:
+def _check_lines(grid: np.ndarray, box_type: BoxType | None) -> ValidationReport:
     """The line check behind both validators and both constructors, on a
     grid (or (k, n, n) stack) already coerced by ``as_grid``, or a LatinSquare's cells."""
     if box_type is not None and grid.shape[-1] != box_type.n:
         raise MalformedInputError(
             f"grid order {grid.shape[-1]} does not match box type {box_type.h}x{box_type.w}"
         )
-    if _lines_are_permutations(grid, box_type, rows_and_columns):
+    if _lines_are_permutations(grid, box_type):
         return ValidationReport(True)
-    return ValidationReport(False, _first_violation(grid, box_type, rows_and_columns))
+    return ValidationReport(False, _first_violation(grid, box_type))
 
 
 def validate_latin(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> ValidationReport:
@@ -189,14 +180,8 @@ def validate_latin(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> Validati
 def validate_sudoku(
     rows: Union[LatinSquare, np.ndarray, Sequence[Sequence[int]]], box_type: BoxType
 ) -> ValidationReport:
-    """Check latin plus box constraints for the given box type.
-
-    A LatinSquare was checked when it was built, so only its boxes are
-    checked; the report is the one the full check gives.
-    """
-    if isinstance(rows, LatinSquare):
-        return _check_lines(rows.cells, box_type, rows_and_columns=False)
-    return _check_lines(as_grid(rows), box_type)
+    """Check latin plus box constraints for the given box type."""
+    return _check_lines(_cells_of(rows), box_type)
 
 
 class LatinSquare:
@@ -258,21 +243,19 @@ class LatinSquare:
 class SudokuSquare:
     """A latin square paired with a box type it satisfies.
 
-    Any grid is checked once: a LatinSquare for its boxes only, anything
-    else for rows, columns and boxes in one pass.
+    Any grid is checked once, for rows, columns and boxes in one pass.
     """
 
     __slots__ = ("square", "box_type")
 
     def __init__(self, square: Union[LatinSquare, np.ndarray, Sequence], box_type: BoxType):
-        known_latin = isinstance(square, LatinSquare)
-        grid = square.cells if known_latin else as_grid(square)
-        report = _check_lines(grid, box_type, not known_latin)
+        grid = _cells_of(square)
+        report = _check_lines(grid, box_type)
         if not report.ok:
             if report.violation.kind == "box":
                 raise BoxViolationError(report.violation)
             raise LatinViolationError(report.violation)
-        if not known_latin:
+        if not isinstance(square, LatinSquare):
             square = LatinSquare._from_checked(grid)
         object.__setattr__(self, "square", square)
         object.__setattr__(self, "box_type", box_type)

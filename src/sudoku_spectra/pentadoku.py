@@ -29,6 +29,7 @@ from functools import cache
 
 import numpy as np
 
+from .construct import latin_spectrum
 from .core import LatinSquare
 from .enumeration import _fill_squares, _sweep
 
@@ -250,7 +251,7 @@ def tiling_spectrum(tiling: Tiling, solutions: np.ndarray | None = None) -> froz
     return frozenset(_sweep(solutions, solutions, SIZE))
 
 
-FULL_SPECTRUM = frozenset(range(SIZE * SIZE - 5)) | {SIZE * SIZE - 4, SIZE * SIZE}
+FULL_SPECTRUM = latin_spectrum(SIZE)
 RIGID_SPECTRUM = frozenset({0, 5, 10, 15, 25})
 
 CATEGORIES = ("unsolvable", "full", "partial", "rigid")

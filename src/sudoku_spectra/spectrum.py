@@ -9,7 +9,7 @@ h <= w and transposes it when h > w:
 * at box width 4, the three targets n^2-6, n^2-9, n^2-11 have no product
   decomposition and also come from seeds;
 * everything else splits t into h*h order-w latin targets
-  (``decompose_target``) realized by ``realize_latin_pair``.  Both squares
+  (``decompose_target``) realized as latin pairs (below).  Both squares
   are gathered at once by construct's block-product kernel over the cyclic
   outer square, rows already in Sudoku form, and checked in one stacked
   pass.  Intersections add across family slots, so the pair meets the
@@ -19,8 +19,8 @@ h <= w and transposes it when h > w:
 (w, s) alone:
 
 * at a composite order w = a*b the pair is a box type (a, b) Sudoku pair,
-  whose spectrum is the order-w latin spectrum, so it comes from
-  ``realize_sudoku_pair`` (seeds and the block product);
+  whose spectrum is the order-w latin spectrum, built as above (seeds
+  and the block product);
 * at the prime orders 2, 3, 5 and 7, and for the nine values the holed
   square misses at order 11, it comes from checked-in seed fixtures of
   box type (1, w);
@@ -32,8 +32,12 @@ h <= w and transposes it when h > w:
   fixes a of the m hole symbols and b of the k outer symbols gives
   |A ∩ B| = k*a + p*b + x.
 
-Each call memoizes its pairs in a ``PairCache``: the caller's, or a fresh
-one that lives as long as the call.  A file-backed cache is a journal that
+Both realizers check their input once: a value outside the spectrum
+raises ``SpectrumError``, an order above ``construct.MAX_ORDER`` raises
+``ValueError``.  They then recurse through the private builders
+``_sudoku_pair`` and ``_latin_pair``, which take the target as achievable
+and memoize latin pairs in a ``PairCache``: the caller's, or a fresh one
+that lives as long as the call.  A file-backed cache is a journal that
 gains one JSON line per new pair.
 """
 from __future__ import annotations
@@ -73,11 +77,6 @@ class SpectrumError(ValueError):
 
 class CertificateError(AssertionError):
     pass
-
-
-DEFAULT_MAX_ORDER = 144
-
-SEED_ONLY_TYPES = {(2, 2), (2, 3), (3, 3)}
 
 
 def _describe_values(allowed: frozenset[int]) -> str:
@@ -217,7 +216,7 @@ def _holed_pair(p: int, m: int, a: int, b: int, x: int, cache: PairCache,
     tau = np.arange(p)  # fixes the first a hole and first b outer symbols
     tau[a:m] = np.roll(tau[a:m], 1)
     tau[m + b:] = np.roll(tau[m + b:], 1)
-    inner_a, inner_b = realize_latin_pair(m, x, cache=cache, seed_db=seed_db)
+    inner_a, inner_b = _latin_pair(m, x, cache, seed_db)
     cells_a = holed.copy()
     cells_a[k:, k:] = inner_a.cells
     cells_b = tau[holed]
@@ -234,15 +233,17 @@ def realize_latin_pair(
     seed_db: SeedDatabase = DATABASE,
 ) -> tuple[LatinSquare, LatinSquare]:
     """Two order-w latin squares meeting in exactly s cells, built without
-    search (see the module docstring).  ``rng`` is passed on but never
-    drawn from: the pair is a function of (w, s)."""
-    if w < 1:
-        raise ValueError(f"order must be positive, got {w}")
+    search (see the module docstring).  ``rng`` is never drawn from: the
+    pair is a function of (w, s)."""
     spectrum = latin_spectrum(w)
     if s not in spectrum:
         raise SpectrumError(_spectrum_message(s, w, spectrum, f"order-{w} latin squares"))
-    if cache is None:
-        cache = PairCache()
+    return _latin_pair(w, s, PairCache() if cache is None else cache, seed_db)
+
+
+def _latin_pair(w: int, s: int, cache: PairCache,
+                seed_db: SeedDatabase) -> tuple[LatinSquare, LatinSquare]:
+    """``realize_latin_pair`` for an achievable s, memoized in ``cache``."""
     hit = cache.get(w, s)
     if hit is not None:
         return hit
@@ -251,9 +252,8 @@ def realize_latin_pair(
         a = cyclic_square(w)
         pair = (a, a)
     elif box_h > 1:  # box_w < w, so this recursion ends
-        cert = realize_sudoku_pair(box_h, box_w, s, rng, cache=cache, seed_db=seed_db,
-                                   max_order=w)
-        pair = (cert.a.square, cert.b.square)
+        a, b, _ = _sudoku_pair(box_h, box_w, s, cache, seed_db)
+        pair = (a.square, b.square)
     elif (1, w) in seed_db.types() and s in seed_db.get(1, w).labels():
         a, b = seed_db.get(1, w).pair_for(s)
         pair = (a.square, b.square)
@@ -373,37 +373,34 @@ def realize_sudoku_pair(
     *,
     cache: PairCache | None = None,
     seed_db: SeedDatabase = DATABASE,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> RealizationCertificate:
     """A certificate pair of box type (h, w) Sudoku squares meeting in
     exactly t cells, for any achievable t."""
     if h < 2 or w < 2:
         raise ValueError(f"box type needs h, w >= 2, got {(h, w)}")
-    n = h * w
-    if n > max_order:
-        raise ValueError(f"order {n} exceeds the configured limit {max_order}")
     spectrum = sudoku_spectrum(h, w)
     if t not in spectrum:
-        raise SpectrumError(_spectrum_message(t, n, spectrum, f"box type ({h}, {w})"))
-
-    hh, ww = min(h, w), max(h, w)
-    dec = None if (hh, ww) in SEED_ONLY_TYPES else decompose_target(t, hh, ww)
-    if dec is None or isinstance(dec, SeedRequired):
-        a, b = seed_db.get(hh, ww).pair_for(t)
-        method = "seed"
-    else:
-        if cache is None:
-            cache = PairCache()  # shared by the slots of this target
-        # at most four distinct parts: w^2, the residue, 0, or w^2-6 and the rest
-        parts = list(dict.fromkeys(dec.parts))
-        pairs = [realize_latin_pair(ww, part, rng, cache=cache, seed_db=seed_db) for part in parts]
-        # row-major: part i*hh + k fills slot (i, k) of both squares, rows reordered
-        grids = _block_products(cyclic_square(hh), np.array([[x.cells, y.cells] for x, y in pairs]),
-                                [parts.index(part) for part in dec.parts], reorder=True)
-        a, b = SudokuSquare._all_checked(grids, BoxType(hh, ww))
-        method = "product"
-    if (hh, ww) != (h, w):
+        raise SpectrumError(_spectrum_message(t, h * w, spectrum, f"box type ({h}, {w})"))
+    a, b, method = _sudoku_pair(min(h, w), max(h, w), t,
+                                PairCache() if cache is None else cache, seed_db)
+    if h > w:
         a, b = a.transposed(), b.transposed()
     cert = RealizationCertificate(a, b, t, method)
     cert.verify()
     return cert
+
+
+def _sudoku_pair(h: int, w: int, t: int, cache: PairCache, seed_db: SeedDatabase):
+    """(a, b, method): box type (h, w) Sudoku squares meeting in an
+    achievable t cells, for 2 <= h <= w."""
+    if w < 4 or isinstance(dec := decompose_target(t, h, w), SeedRequired):
+        a, b = seed_db.get(h, w).pair_for(t)  # (2, 2), (2, 3), (3, 3) are seeds only
+        return a, b, "seed"
+    # at most four distinct parts: w^2, the residue, 0, or w^2-6 and the rest
+    parts = list(dict.fromkeys(dec.parts))
+    pairs = [_latin_pair(w, part, cache, seed_db) for part in parts]
+    # row-major: part i*h + k fills slot (i, k) of both squares, rows reordered
+    grids = _block_products(cyclic_square(h), np.array([[x.cells, y.cells] for x, y in pairs]),
+                            [parts.index(part) for part in dec.parts], reorder=True)
+    a, b = SudokuSquare._all_checked(grids, BoxType(h, w))
+    return a, b, "product"

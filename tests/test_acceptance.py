@@ -12,7 +12,6 @@ import numpy as np
 from sudoku_spectra.construct import (
     forbidden_values,
     kronecker,
-    latin_spectrum,
     sudoku_reorder,
     sudoku_spectrum,
     triangle_product,

@@ -6,6 +6,7 @@ import pytest
 
 from sudoku_spectra import cli, enumeration
 from sudoku_spectra.cli import main
+from sudoku_spectra.construct import upsilon
 from sudoku_spectra.core import BoxType
 from sudoku_spectra.formats import parse, serialize
 from sudoku_spectra.markov import sample_sudoku
@@ -95,10 +96,20 @@ def test_realize_near_full_message_names_the_gaps(capsys):
 
 
 def test_realize_over_order_limit_exits_1(capsys):
-    rc, _, err = run(capsys, "realize", "--h", "2", "--w", "3", "--t", "0",
-                     "--max-order", "5")
-    assert rc == 1
-    assert "error" in err
+    # one limit, construct.MAX_ORDER = 144, for every command that builds a spectrum
+    for argv, n in [(["realize", "--h", "12", "--w", "13", "--t", "0"], 156),
+                    (["spectrum", "--h", "12", "--w", "13"], 156),
+                    (["spectrum", "--h", "1", "--w", "145"], 145)]:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err == f"error: order {n} exceeds the limit 144\n"
+
+
+def test_realize_at_the_order_limit(capsys):
+    rc, out, _ = run(capsys, "realize", "--h", "12", "--w", "12", "--t", "0")
+    assert rc == 0 and out.strip() == "0"
+    rc, out, _ = run(capsys, "spectrum", "--h", "12", "--w", "12")
+    assert rc == 0 and out.split() == [str(v) for v in sorted(upsilon(144))]
 
 
 def test_realize_rejects_latin_box_types(capsys):
@@ -269,7 +280,10 @@ def test_counts_at_their_floor_are_accepted(capsys):
     ["spectrum", "--h", "2", "--w", "3", "--mode", "brute", "--threads", "2"],
     # the sampler has one path, so there are no chain steps to add
     ["sample", "--h", "2", "--w", "3", "--steps", "1"],
-], ids=["realize-seed", "pentadoku-threads", "spectrum-threads", "sample-steps"])
+    # the order limit is construct.MAX_ORDER, not a knob
+    ["realize", "--h", "2", "--w", "3", "--t", "0", "--max-order", "5"],
+], ids=["realize-seed", "pentadoku-threads", "spectrum-threads", "sample-steps",
+        "realize-max-order"])
 def test_realize_has_no_seed_flag(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(argv)
@@ -279,7 +293,7 @@ def test_realize_has_no_seed_flag(capsys, argv):
 
 @pytest.mark.parametrize("h, w", [(2, 71), (3, 47)])
 def test_realize_at_the_largest_prime_widths(tmp_path, capsys, h, w):
-    n = h * w  # 142 and 141, under the default --max-order 144
+    n = h * w  # 142 and 141, under the order limit 144
     t = n * n - 4
     cert_path = tmp_path / "cert.json"
     rc, out, _ = run(capsys, "realize", "--h", str(h), "--w", str(w), "--t", str(t),

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sudoku_spectra import markov, spectrum
-from sudoku_spectra.construct import latin_spectrum, sudoku_spectrum
+from sudoku_spectra.construct import MAX_ORDER, latin_spectrum, sudoku_spectrum
 from sudoku_spectra.core import (
     BoxType,
     SudokuSquare,
@@ -172,6 +172,16 @@ def test_latin_pair_rejects_impossible_values():
         realize_latin_pair(0, 0)
 
 
+def test_realizers_stop_at_the_order_limit():
+    assert MAX_ORDER == 144
+    a, b = realize_latin_pair(144, 0)
+    assert a.order == 144 and intersection_size(a, b) == 0
+    for build in (lambda: realize_latin_pair(145, 0), lambda: realize_sudoku_pair(5, 29, 0),
+                  lambda: latin_spectrum(145), lambda: sudoku_spectrum(1, 145)):
+        with pytest.raises(ValueError, match="^order 145 exceeds the limit 144$"):
+            build()
+
+
 def test_spectrum_error_messages_explain():
     with pytest.raises(SpectrumError, match="n\\^2-1"):
         realize_latin_pair(5, 23)
@@ -321,13 +331,13 @@ def test_a_warm_target_builds_one_latin_pair_per_distinct_part(monkeypatch):
     for t in targets:
         realize_sudoku_pair(6, 6, t, cache=cache)
     calls = []
-    build = spectrum.realize_latin_pair
+    build = spectrum._latin_pair
 
-    def counted(w, s, *args, **kwargs):
+    def counted(w, s, *args):
         calls.append(s)
-        return build(w, s, *args, **kwargs)
+        return build(w, s, *args)
 
-    monkeypatch.setattr(spectrum, "realize_latin_pair", counted)
+    monkeypatch.setattr(spectrum, "_latin_pair", counted)
     for t in targets:
         calls.clear()
         assert realize_sudoku_pair(6, 6, t, cache=cache).verify() == t
@@ -383,9 +393,7 @@ def test_realize_rejects_impossible_targets():
     with pytest.raises(ValueError):
         realize_sudoku_pair(1, 4, 0)
     with pytest.raises(ValueError):
-        realize_sudoku_pair(12, 13, 0)  # order 156 over the default limit
-    with pytest.raises(ValueError):
-        realize_sudoku_pair(3, 4, 0, max_order=10)
+        realize_sudoku_pair(12, 13, 0)  # order 156 over the limit
 
 
 def test_certificate_json_round_trip():
