@@ -11,9 +11,9 @@ Subcommands:
   deterministic per ``--seed``.
 * ``pentadoku``: run the 5x5 pentomino-cage census.
 
-Exit codes: 0 on success, 2 when a requested value lies outside the
-spectrum, 1 for I/O, parse, or validation problems, for an order above
-``construct.MAX_ORDER`` and for a sampler that gives up within its budget.
+Exit codes: 0 on success; 2 for a value outside the spectrum or a usage
+error (an unknown flag, ``--effort -1``); 1 for I/O, parse or validation
+problems, an order above ``construct.MAX_ORDER``, or a sampler out of budget.
 """
 from __future__ import annotations
 

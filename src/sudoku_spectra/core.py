@@ -1,9 +1,10 @@
-"""Core grid types: latin squares and Sudoku latin squares, their
-validation, and the intersection size of two squares.
+"""Core grid type: the Sudoku latin square, its validation, and the
+intersection size of two squares.
 
 Symbols are 0-based everywhere: an order-n square is filled with 0..n-1.
 A Sudoku square of box type (h, w) is an order h*w latin square whose
-h-row by w-column boxes each contain every symbol once.
+h-row by w-column boxes each contain every symbol once.  A latin square
+is the one of box type (1, n), whose boxes are its rows.
 """
 from __future__ import annotations
 
@@ -113,6 +114,12 @@ class BoxType:
         return [(r // self.h) * self.h + c // self.w for r in range(n) for c in range(n)]
 
 
+@lru_cache(maxsize=None)
+def _latin_type(n: int) -> BoxType:
+    """Box type (1, n), a latin square's, made once per order."""
+    return BoxType(1, n)
+
+
 def _box_lines(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
     """The boxes of an order-n grid (of each grid of a stack) as rows of an
     (n, n) array, box (p, q) at row p*h + q, the order of ``BoxType.boxes``."""
@@ -121,21 +128,19 @@ def _box_lines(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _line_offsets(shape: tuple[int, ...], box_type: BoxType | None):
+def _line_offsets(shape: tuple[int, ...], box_type: BoxType):
     """Each cell's line index times n, one layer per family of lines to check
     in a grid or stack of grids (rows, columns, then boxes): the offsets
     that make a cell's symbol its (line, symbol) key."""
     n, grids = shape[-1], math.prod(shape[:-2])
-    lines = list(np.indices((n, n)))
-    if box_type is not None:
-        lines.append(np.reshape(box_type.cell_boxes(), (n, n)))
+    lines = [*np.indices((n, n)), np.reshape(box_type.cell_boxes(), (n, n))]
     first = np.arange(0, len(lines) * grids * n, n).reshape(len(lines), grids, 1, 1)
     offsets = ((first + np.array(lines)[:, None]) * n).reshape(len(lines), *shape)
     offsets.flags.writeable = False
     return offsets
 
 
-def _lines_are_permutations(grid: np.ndarray, box_type: BoxType | None) -> bool:
+def _lines_are_permutations(grid: np.ndarray, box_type: BoxType) -> bool:
     """True iff every checked line (of every grid of a stack) holds each
     symbol 0..n-1 once: the cells' (line, symbol) keys mark every key."""
     offsets = _line_offsets(grid.shape, box_type)
@@ -144,15 +149,14 @@ def _lines_are_permutations(grid: np.ndarray, box_type: BoxType | None) -> bool:
     return seen.all()
 
 
-def _first_violation(grid: np.ndarray, box_type: BoxType | None) -> Violation:
+def _first_violation(grid: np.ndarray, box_type: BoxType) -> Violation:
     """The first repeat in row, column, box order, in a stack's first bad grid.
     Runs only after the vectorized check failed, so reports match a scan."""
     for square in grid.reshape(-1, *grid.shape[-2:]):
         lines = [("row", (i,), line) for i, line in enumerate(square)]
         lines += [("column", (j,), line) for j, line in enumerate(square.T)]
-        if box_type is not None:
-            boxes = _box_lines(square, box_type)
-            lines += [("box", pq, line) for pq, line in zip(box_type.boxes(), boxes)]
+        boxes = _box_lines(square, box_type)
+        lines += [("box", pq, line) for pq, line in zip(box_type.boxes(), boxes)]
         for kind, where, line in lines:
             dup = _first_duplicate(line)
             if dup is not None:
@@ -160,10 +164,11 @@ def _first_violation(grid: np.ndarray, box_type: BoxType | None) -> Violation:
     raise AssertionError("vectorized check failed but no line repeats a symbol")
 
 
-def _check_lines(grid: np.ndarray, box_type: BoxType | None) -> ValidationReport:
-    """The line check behind both validators and both constructors, on a
-    grid (or (k, n, n) stack) already coerced by ``as_grid``, or a LatinSquare's cells."""
-    if box_type is not None and grid.shape[-1] != box_type.n:
+def _check_lines(grid: np.ndarray, box_type: BoxType) -> ValidationReport:
+    """The line check behind both validators and both constructors, on a grid
+    (or (k, n, n) stack) coerced by ``as_grid``, or a square's cells.  At box
+    type (1, n) a box is a row, so a latin square's repeat is a row's."""
+    if grid.shape[-1] != box_type.n:
         raise MalformedInputError(
             f"grid order {grid.shape[-1]} does not match box type {box_type.h}x{box_type.w}"
         )
@@ -172,100 +177,51 @@ def _check_lines(grid: np.ndarray, box_type: BoxType | None) -> ValidationReport
     return ValidationReport(False, _first_violation(grid, box_type))
 
 
+def _checked(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
+    """``grid`` if it satisfies ``box_type``; else the box or latin violation."""
+    report = _check_lines(grid, box_type)
+    if not report.ok:
+        error = BoxViolationError if report.violation.kind == "box" else LatinViolationError
+        raise error(report.violation)
+    return grid
+
+
 def validate_latin(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> ValidationReport:
     """Check the latin property; malformed input raises instead of reporting."""
-    return _check_lines(as_grid(rows), None)
+    grid = as_grid(rows)
+    return _check_lines(grid, _latin_type(grid.shape[0]))
 
 
-def validate_sudoku(
-    rows: Union[LatinSquare, np.ndarray, Sequence[Sequence[int]]], box_type: BoxType
-) -> ValidationReport:
+def validate_sudoku(rows: GridLike, box_type: BoxType) -> ValidationReport:
     """Check latin plus box constraints for the given box type."""
     return _check_lines(_cells_of(rows), box_type)
 
 
-class LatinSquare:
-    """Immutable order-n latin square over symbols 0..n-1."""
-
-    __slots__ = ("cells", "_hash")
-
-    def __init__(self, rows: Union[np.ndarray, Sequence[Sequence[int]]]):
-        grid = as_grid(rows)
-        report = _check_lines(grid, None)
-        if not report.ok:
-            raise LatinViolationError(report.violation)
-        object.__setattr__(self, "cells", grid)
-
-    @classmethod
-    def _from_checked(cls, grid: np.ndarray) -> "LatinSquare":
-        """Wrap an int64 grid known to be latin without checking it again:
-        an ``as_grid`` array that has just passed a latin check, or a row
-        permutation or transpose of a LatinSquare's cells.  The grid is made
-        read-only."""
-        grid.flags.writeable = False
-        square = object.__new__(cls)
-        object.__setattr__(square, "cells", grid)
-        return square
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatinSquare is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.cells.shape[0]
-
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in self.cells.tolist())
-
-    def __getitem__(self, key):
-        return self.cells[key]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatinSquare):
-            return NotImplemented
-        return self.order == other.order and np.array_equal(self.cells, other.cells)
-
-    def __hash__(self) -> int:
-        """Computed on first use: the cells are read-only, so it never goes stale."""
-        try:
-            return self._hash
-        except AttributeError:  # the slot is unset until the first call
-            object.__setattr__(self, "_hash", hash((self.order, self.cells.tobytes())))
-            return self._hash
-
-    def __repr__(self) -> str:
-        body = "/".join("".join(format(v, "x") for v in row) for row in self.cells.tolist())
-        if self.order > 16:
-            body = f"order {self.order}"
-        return f"LatinSquare({body})"
-
-
 class SudokuSquare:
-    """A latin square paired with a box type it satisfies.
+    """An immutable order-n square of box type (h, w), n = h*w: each row,
+    column and box holds every symbol 0..n-1 once.  ``LatinSquare`` is the
+    square of box type (1, n), and ``square`` is the same cells as one.
+    Squares are equal when their box types and cells are.  Any grid is
+    checked once, for all its lines in one pass."""
 
-    Any grid is checked once, for rows, columns and boxes in one pass.
-    """
+    __slots__ = ("cells", "box_type", "_hash", "square")
 
-    __slots__ = ("square", "box_type")
+    def __init__(self, square: GridLike, box_type: BoxType):
+        self._fill(_checked(_cells_of(square), box_type), box_type)
 
-    def __init__(self, square: Union[LatinSquare, np.ndarray, Sequence], box_type: BoxType):
-        grid = _cells_of(square)
-        report = _check_lines(grid, box_type)
-        if not report.ok:
-            if report.violation.kind == "box":
-                raise BoxViolationError(report.violation)
-            raise LatinViolationError(report.violation)
-        if not isinstance(square, LatinSquare):
-            square = LatinSquare._from_checked(grid)
-        object.__setattr__(self, "square", square)
+    def _fill(self, grid: np.ndarray, box_type: BoxType) -> None:
+        object.__setattr__(self, "cells", grid)
         object.__setattr__(self, "box_type", box_type)
+        if not isinstance(self, LatinSquare):  # whose ``square`` is itself
+            latin = LatinSquare._from_checked(grid, _latin_type(len(grid)))
+            object.__setattr__(self, "square", latin)
 
     @classmethod
     def _from_checked(cls, grid: np.ndarray, box_type: BoxType) -> "SudokuSquare":
-        """Wrap an int64 grid known to satisfy ``box_type``, unchecked."""
+        """Wrap a read-only int64 grid that has passed the check for ``box_type``
+        (an ``as_grid`` array, or a view of a read-only stack or square's cells)."""
         square = object.__new__(cls)
-        object.__setattr__(square, "square", LatinSquare._from_checked(grid))
-        object.__setattr__(square, "box_type", box_type)
+        square._fill(grid, box_type)
         return square
 
     @classmethod
@@ -283,18 +239,18 @@ class SudokuSquare:
         return [cls(g, box_type) for g in grids]  # raises what SudokuSquare raises
 
     def __setattr__(self, name, value):
-        raise AttributeError("SudokuSquare is immutable")
-
-    @property
-    def cells(self) -> np.ndarray:
-        return self.square.cells
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def order(self) -> int:
-        return self.square.order
+        return self.cells.shape[0]
+
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.square.rows()
+        return tuple(tuple(row) for row in self.cells.tolist())
+
+    def __getitem__(self, key):
+        return self.cells[key]
 
     def transposed(self) -> "SudokuSquare":
         """The transpose, of the transposed box type.  Transposing keeps
@@ -304,20 +260,47 @@ class SudokuSquare:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SudokuSquare):
             return NotImplemented
-        return self.box_type == other.box_type and self.square == other.square
+        return self.box_type == other.box_type and np.array_equal(self.cells, other.cells)
 
     def __hash__(self) -> int:
-        return hash((self.box_type, self.square))
+        """Computed on first use: the cells are read-only, so it never goes stale."""
+        try:
+            return self._hash
+        except AttributeError:  # the slot is unset until the first call
+            object.__setattr__(self, "_hash", hash((self.box_type, self.cells.tobytes())))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"SudokuSquare({self.box_type.h}x{self.box_type.w}, {self.square!r})"
 
 
-GridLike = Union[LatinSquare, SudokuSquare, np.ndarray, Sequence]
+class LatinSquare(SudokuSquare):
+    """Immutable order-n latin square: the square of box type (1, n)."""
+
+    __slots__ = ()
+
+    def __init__(self, rows: Union[np.ndarray, Sequence[Sequence[int]]]):
+        grid = as_grid(rows)
+        box_type = _latin_type(grid.shape[0])
+        self._fill(_checked(grid, box_type), box_type)
+
+    @property
+    def square(self) -> "LatinSquare":
+        """The square itself."""
+        return self
+
+    def __repr__(self) -> str:
+        body = "/".join("".join(format(v, "x") for v in row) for row in self.cells.tolist())
+        if self.order > 16:
+            body = f"order {self.order}"
+        return f"LatinSquare({body})"
+
+
+GridLike = Union[SudokuSquare, np.ndarray, Sequence]
 
 
 def _cells_of(x: GridLike) -> np.ndarray:
-    if isinstance(x, (LatinSquare, SudokuSquare)):
+    if isinstance(x, SudokuSquare):
         return x.cells
     return as_grid(x)
 

@@ -4,7 +4,7 @@ Three interchangeable styles:
 
 * ``single_line``: rows joined by ``|``, one character per symbol
   (0-9 then a-z, so orders up to 36), e.g. ``"01|10"``.
-* ``grid``: one row per line, whitespace-separated decimal symbols.
+* ``grid``: one row per line, whitespace-separated ASCII decimal symbols.
 * ``json``: canonical JSON object ``{"h": .., "rows": [[..]], "w": ..}``
   with sorted keys and no whitespace, safe to diff byte-for-byte.
 
@@ -68,10 +68,9 @@ def parse_grid(text: str, box_type: BoxType) -> SudokuSquare:
             raise ParseError("token_count", f"row {i} has {len(tokens)} entries, expected {n}")
         row = []
         for tok in tokens:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError("invalid_char", f"row {i}: {tok!r} is not an integer") from None
+            if not (tok.isascii() and tok.isdigit()):  # int() also reads 1_0, +1, -0, ٠
+                raise ParseError("invalid_char", f"row {i}: {tok!r} is not a decimal integer")
+            v = int(tok)
             if not 0 <= v < n:
                 raise ParseError("symbol_range", f"row {i}: symbol {v} out of range 0..{n - 1}")
             row.append(v)
@@ -82,7 +81,7 @@ def parse_grid(text: str, box_type: BoxType) -> SudokuSquare:
 def parse_json(text: str) -> SudokuSquare:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ParseError("json", f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or not {"h", "w", "rows"} <= set(obj):
         raise ParseError("json", 'expected an object with keys "h", "w", "rows"')

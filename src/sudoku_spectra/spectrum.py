@@ -141,7 +141,7 @@ class PairCache:
                 raw, pos = decoder.raw_decode(text, pos)
                 objects.append(raw)
                 pos = _JSON_SPACE.match(text, pos).end()
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ParseError("cache", f"cache file {self.path} is not JSON: {exc}") from None
         if not all(isinstance(raw, dict) for raw in objects):
             raise ParseError(
@@ -350,7 +350,7 @@ def _certificate_fields(text):
     """The fields of any JSON certificate, each of the right JSON type."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ParseError("certificate", f"certificate is not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("certificate", "certificate must be a JSON object")

@@ -71,14 +71,16 @@ def test_realize_cache_in_a_missing_directory_names_the_path(tmp_path, capsys):
     assert err.startswith("error: ") and str(cache_path) in err
 
 
-@pytest.mark.parametrize("text", ["[]", '{"4:16": 5}x'])
+@pytest.mark.parametrize("text", ["[]", '{"4:16": 5}x',
+                                  pytest.param("[" * 100_000, id="nested-too-deep")])
 def test_realize_with_unreadable_cache_exits_1(tmp_path, capsys, text):
     cache_path = tmp_path / "cache.json"
     cache_path.write_text(text)
     rc, out, err = run(capsys, "realize", "--h", "2", "--w", "5", "--t", "73",
                        "--cache", str(cache_path))
     assert rc == 1 and out == ""
-    assert err.startswith("error: cache file")
+    assert err.startswith("error: cache file") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert cache_path.read_text() == text
 
 
@@ -147,6 +149,15 @@ def test_verify_rejects_invalid_square(tmp_path, capsys):
     rc, _, err = run(capsys, "verify", str(bad), str(good), "--h", "2", "--w", "3")
     assert rc == 1
     assert "error" in err
+
+
+def test_verify_rejects_json_nested_too_deep(tmp_path, capsys):
+    deep = tmp_path / "a.json"
+    deep.write_text('{"h":2,"w":2,"rows":' + "[" * 100_000)
+    rc, out, err = run(capsys, "verify", str(deep), str(deep), "--h", "2", "--w", "2")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file_exits_1(tmp_path, capsys):

@@ -127,6 +127,24 @@ def test_sudoku_equality_includes_box_type():
     assert len({s, t}) == 2
 
 
+def test_a_latin_square_is_the_square_of_box_type_1_n():
+    rows = [[3, 4, 5, 0, 2, 1], [0, 2, 1, 3, 5, 4], [5, 1, 0, 2, 4, 3],
+            [2, 3, 4, 5, 1, 0], [4, 5, 3, 1, 0, 2], [1, 0, 2, 4, 3, 5]]  # also box type (2, 3)
+    latin, row_boxes = LatinSquare(rows), SudokuSquare(rows, BoxType(1, 6))
+    assert isinstance(latin, SudokuSquare) and latin.box_type == BoxType(1, 6)
+    assert latin == row_boxes and hash(latin) == hash(row_boxes)
+    assert latin.square is latin and row_boxes.square == latin
+    assert row_boxes.square is row_boxes.square  # kept, not made per access
+    others = [SudokuSquare(rows, BoxType(6, 1)), SudokuSquare(rows, BoxType(2, 3))]
+    assert all(other != latin and other.square == latin for other in others)
+    assert len({latin, row_boxes, *others}) == 3
+    body = "345021/021354/510243/234510/453102/102435"
+    assert repr(latin) == f"LatinSquare({body})"
+    assert repr(others[1]) == f"SudokuSquare(2x3, LatinSquare({body}))"
+    assert repr(SudokuSquare(cyclic_square(17), BoxType(1, 17))) == (
+        "SudokuSquare(1x17, LatinSquare(order 17))")
+
+
 def test_intersection_and_size():
     a = cyclic_square(5)
     b = LatinSquare(np.array([1, 0, 2, 3, 4])[a.cells])
@@ -227,7 +245,7 @@ def test_each_built_square_is_checked_once(monkeypatch):
     check_lines, as_grid = core._check_lines, core.as_grid
 
     def counted_check(grid, box_type):
-        kind = "latin" if box_type is None else "sudoku"
+        kind = "latin" if box_type == BoxType(1, grid.shape[-1]) else "sudoku"
         checks.append(kind if grid.ndim == 2 else f"{kind} x{grid.shape[0]}")
         return check_lines(grid, box_type)
 
@@ -270,7 +288,7 @@ def test_each_built_square_is_checked_once(monkeypatch):
 
     def counted_lines(grid, box_type):
         grids, n = (grid.shape[0] if grid.ndim == 3 else 1), grid.shape[-1]
-        lines.append(grids * (2 * n + n * (box_type is not None)))
+        lines.append(grids * 3 * n)
         return check(grid, box_type)
 
     monkeypatch.setattr(core, "_lines_are_permutations", counted_lines)

@@ -61,9 +61,11 @@ def test_grid_error_kinds():
     with pytest.raises(ParseError) as e:
         parse_grid("0 1 2 3\n2 3 0 1\n1 0 3 2\n3 2 1", bt)
     assert e.value.kind == "token_count"
-    with pytest.raises(ParseError) as e:
-        parse_grid("0 1 2 3\n2 3 0 1\n1 0 3 2\n3 2 1 x", bt)
-    assert e.value.kind == "invalid_char"
+    # ASCII decimal digits only, though int() reads each of these
+    for bad in ["x", "1_0", "+1", "-0", "\u0660"]:
+        with pytest.raises(ParseError) as e:
+            parse_grid(f"0 1 2 3\n2 3 0 1\n1 0 3 2\n3 2 1 {bad}", bt)
+        assert e.value.kind == "invalid_char"
     with pytest.raises(ParseError) as e:
         parse_grid("0 1 2 3\n2 3 0 1\n1 0 3 2\n3 2 1 7", bt)
     assert e.value.kind == "symbol_range"
@@ -89,6 +91,14 @@ def test_json_error_kinds():
         with pytest.raises(ParseError) as e:
             parse_json(text)
         assert e.value.kind == "json"
+
+
+@pytest.mark.parametrize("text", ['{"h":2,"w":2,"rows":' + "[" * 100_000, b"\xff"],
+                         ids=["nested-too-deep", "not-utf8"])
+def test_json_that_does_not_decode_is_a_parse_error(text):
+    with pytest.raises(ParseError) as e:
+        parse_json(text)
+    assert e.value.kind == "json"
 
 
 def test_json_mismatched_box_type():

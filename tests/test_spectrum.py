@@ -306,7 +306,8 @@ def test_a_file_cache_gives_the_in_memory_pairs_at_order_13(tmp_path):
     assert all(reloaded.get(13, s) == in_memory.get(13, s) for s in values)
 
 
-@pytest.mark.parametrize("data", [b"[1, 2]", b'"pairs"', b"{not json", b"\xff\x00\xfe", b""])
+@pytest.mark.parametrize("data", [b"[1, 2]", b'"pairs"', b"{not json", b"\xff\x00\xfe", b"",
+                                  pytest.param(b"[" * 100_000, id="nested-too-deep")])
 def test_pair_cache_rejects_a_file_that_is_not_a_json_object(tmp_path, data):
     path = tmp_path / "pairs.json"
     path.write_bytes(data)
@@ -559,6 +560,7 @@ def test_certificate_rejects_tampering():
     lambda obj: "nope",
     lambda obj: "{}",
     lambda obj: "[1]",
+    lambda obj: "[" * 100_000,
     lambda obj: json.dumps({k: v for k, v in obj.items() if k != "target"}),
     lambda obj: json.dumps({**obj, "h": "2"}),
     lambda obj: json.dumps({**obj, "w": 3.0}),
@@ -572,7 +574,7 @@ def test_certificate_rejects_tampering():
     # the same certificate once true and false are read as 1 and 0
     lambda obj: json.dumps({**obj, "a": [[{0: False, 1: True}.get(v, v) for v in obj["a"][0]]]
                                         + obj["a"][1:]}),
-], ids=["not-json", "empty-object", "array", "no-target", "h-string", "w-float",
+], ids=["not-json", "empty-object", "array", "nested-too-deep", "no-target", "h-string", "w-float",
         "target-bool", "method-int", "a-string", "b-null", "h-below-2", "method-unknown",
         "order-not-h-times-w", "a-booleans"])
 def test_certificate_from_json_tags_malformed_payloads(mutate):

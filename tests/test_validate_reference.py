@@ -29,7 +29,7 @@ from sudoku_spectra.core import (
     validate_sudoku,
 )
 
-BOX_TYPES = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 4), (6, 6)]
+BOX_TYPES = [(1, 1), (1, 5), (5, 1), (1, 6), (2, 2), (2, 3), (3, 2), (3, 4), (6, 6)]
 
 
 def _first_duplicate(line):
@@ -115,7 +115,7 @@ def test_vectorized_validators_match_loop_reference(box, seed, edits, shuffle):
     assert validate_latin(grid) == expected_latin
     assert validate_sudoku(grid, BoxType(h, w)) == expected_sudoku
     if expected_latin.ok:
-        # a LatinSquare has only its boxes checked; the report is the same
+        # a LatinSquare's cells get the same report as the grid's
         assert validate_sudoku(LatinSquare(grid), BoxType(h, w)) == expected_sudoku
 
 
