@@ -41,7 +41,7 @@ def kronecker(l: LatinSquare, m: LatinSquare) -> LatinSquare:
 
 def triangle_product(l: LatinSquare, members: Sequence[Sequence[LatinSquare]]) -> LatinSquare:
     """Block product of an order-n outer square with an n-by-n family of
-    order-m latin squares.
+    order-m latin squares (squares of box type (1, m)).
 
     ``members[i][k]`` fills the blocks of row bundle i where the outer
     square has symbol k, over symbols k*m..k*m+m-1.  The result is checked
@@ -50,7 +50,8 @@ def triangle_product(l: LatinSquare, members: Sequence[Sequence[LatinSquare]]) -
     n = l.order
     if len(members) != n or any(len(row) != n for row in members):
         raise MalformedInputError(f"family must be {n}-by-{n}, the order of the outer square")
-    orders = {sq.order if isinstance(sq, LatinSquare) else None for row in members for sq in row}
+    orders = {sq.order if isinstance(sq, SudokuSquare) and sq.box_type.h == 1 else None
+              for row in members for sq in row}
     if len(orders) != 1 or None in orders:
         raise MalformedInputError(f"family members must be LatinSquares of one order, got {orders}")
     cells = np.array([[sq.cells] for row in members for sq in row])  # (n*n, 1, m, m)

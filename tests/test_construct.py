@@ -26,7 +26,7 @@ from sudoku_spectra.core import (
     intersection_size,
     validate_sudoku,
 )
-from sudoku_spectra.markov import random_latin_square
+from sudoku_spectra.markov import random_latin_square, sample_sudoku
 
 # Product of the order-2 and order-3 cyclic squares, then its row reorder
 # into a box-type (2, 3) square.  Worked out by hand once; frozen here.
@@ -166,6 +166,16 @@ def test_square_family_validation():
         triangle_product(cyclic_square(3), [[sq2] * 2] * 2)
     with pytest.raises(MalformedInputError):
         triangle_product(outer, [[sq2, sq2.cells], [sq2, sq2]])
+
+
+def test_a_member_of_box_type_1_m_is_a_latin_square():
+    outer, member = LatinSquare([[0, 1], [1, 0]]), sample_sudoku(1, 3, 0)
+    assert member == LatinSquare(member.cells) and type(member) is not LatinSquare
+    assert triangle_product(outer, [[member] * 2] * 2) == kronecker(outer, LatinSquare(member.cells))
+    # any other box type is still refused, though an (m, 1) square is latin too
+    for other in (sample_sudoku(3, 1, 0), sample_sudoku(1, 2, 0).transposed(), sample_sudoku(2, 2, 0)):
+        with pytest.raises(MalformedInputError, match="family members must be LatinSquares of one order"):
+            triangle_product(outer, [[other] * 2] * 2)
 
 
 def test_spectrum_values():

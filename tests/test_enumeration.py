@@ -167,6 +167,20 @@ def test_a_permutation_leaving_the_family_is_reported():
         orbit_representatives(canon, n, swap[None])
 
 
+def test_an_image_with_the_right_key_is_still_checked_cell_by_cell():
+    n, bt = 4, BoxType(2, 2)
+    canon = enumerate_squares(n, bt)
+    # swapping two cells of the last row keeps every key cell (rows 1..n-2 by
+    # columns 0..n-2), so each image has its own square's key
+    swap = np.arange(n * n)
+    swap[[12, 13]] = [13, 12]
+    key = [r * n + c for r in range(1, n - 1) for c in range(n - 1)]
+    assert (swap[key] == key).all()
+    first = next(i for i, flat in enumerate(canon) if not _all_valid(flat[swap], bt))
+    with pytest.raises(AssertionError, match=f"an image of square {first} is not in the enumerated family"):
+        orbit_representatives(canon, n, swap[None])
+
+
 def test_latin_spectra_small_orders():
     assert brute_force_latin_spectrum(1).values == {1}
     assert brute_force_latin_spectrum(2).values == {0, 4}
