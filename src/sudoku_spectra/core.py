@@ -4,7 +4,8 @@ intersection size of two squares.
 Symbols are 0-based everywhere: an order-n square is filled with 0..n-1.
 A Sudoku square of box type (h, w) is an order h*w latin square whose
 h-row by w-column boxes each contain every symbol once.  A latin square
-is the one of box type (1, n), whose boxes are its rows.
+is the one of box type (1, n), whose boxes are its rows: one class,
+``SudokuSquare``, holds both, and ``LatinSquare`` is its name at (1, n).
 """
 from __future__ import annotations
 
@@ -186,9 +187,9 @@ def _checked(grid: np.ndarray, box_type: BoxType) -> np.ndarray:
     return grid
 
 
-def validate_latin(rows: Union[np.ndarray, Sequence[Sequence[int]]]) -> ValidationReport:
+def validate_latin(rows: GridLike) -> ValidationReport:
     """Check the latin property; malformed input raises instead of reporting."""
-    grid = as_grid(rows)
+    grid = _cells_of(rows)
     return _check_lines(grid, _latin_type(grid.shape[0]))
 
 
@@ -199,29 +200,28 @@ def validate_sudoku(rows: GridLike, box_type: BoxType) -> ValidationReport:
 
 class SudokuSquare:
     """An immutable order-n square of box type (h, w), n = h*w: each row,
-    column and box holds every symbol 0..n-1 once.  ``LatinSquare`` is the
-    square of box type (1, n), and ``square`` is the same cells as one.
+    column and box holds every symbol 0..n-1 once.  With no box type it is
+    a latin square, of box type (1, n); ``LatinSquare`` names this class,
+    and ``LatinSquare(square)`` is any square's cells as a latin square.
     Squares are equal when their box types and cells are.  Any grid is
     checked once, for all its lines in one pass."""
 
-    __slots__ = ("cells", "box_type", "_hash", "square")
+    __slots__ = ("cells", "box_type", "_hash")
 
-    def __init__(self, square: GridLike, box_type: BoxType):
-        self._fill(_checked(_cells_of(square), box_type), box_type)
-
-    def _fill(self, grid: np.ndarray, box_type: BoxType) -> None:
-        object.__setattr__(self, "cells", grid)
+    def __init__(self, square: GridLike, box_type: BoxType | None = None):
+        grid = _cells_of(square)
+        if box_type is None:
+            box_type = _latin_type(grid.shape[0])
+        object.__setattr__(self, "cells", _checked(grid, box_type))
         object.__setattr__(self, "box_type", box_type)
-        if not isinstance(self, LatinSquare):  # whose ``square`` is itself
-            latin = LatinSquare._from_checked(grid, _latin_type(len(grid)))
-            object.__setattr__(self, "square", latin)
 
     @classmethod
     def _from_checked(cls, grid: np.ndarray, box_type: BoxType) -> "SudokuSquare":
         """Wrap a read-only int64 grid that has passed the check for ``box_type``
         (an ``as_grid`` array, or a view of a read-only stack or square's cells)."""
         square = object.__new__(cls)
-        square._fill(grid, box_type)
+        object.__setattr__(square, "cells", grid)
+        object.__setattr__(square, "box_type", box_type)
         return square
 
     @classmethod
@@ -244,7 +244,6 @@ class SudokuSquare:
     @property
     def order(self) -> int:
         return self.cells.shape[0]
-
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(row) for row in self.cells.tolist())
@@ -271,29 +270,15 @@ class SudokuSquare:
             return self._hash
 
     def __repr__(self) -> str:
-        return f"SudokuSquare({self.box_type.h}x{self.box_type.w}, {self.square!r})"
-
-
-class LatinSquare(SudokuSquare):
-    """Immutable order-n latin square: the square of box type (1, n)."""
-
-    __slots__ = ()
-
-    def __init__(self, rows: Union[np.ndarray, Sequence[Sequence[int]]]):
-        grid = as_grid(rows)
-        box_type = _latin_type(grid.shape[0])
-        self._fill(_checked(grid, box_type), box_type)
-
-    @property
-    def square(self) -> "LatinSquare":
-        """The square itself."""
-        return self
-
-    def __repr__(self) -> str:
-        body = "/".join("".join(format(v, "x") for v in row) for row in self.cells.tolist())
         if self.order > 16:
             body = f"order {self.order}"
-        return f"LatinSquare({body})"
+        else:
+            body = "/".join("".join(format(v, "x") for v in row) for row in self.cells.tolist())
+        h, w = self.box_type.h, self.box_type.w
+        return f"LatinSquare({body})" if h == 1 else f"SudokuSquare({h}x{w}, LatinSquare({body}))"
+
+
+LatinSquare = SudokuSquare  # a latin square is the square of box type (1, n)
 
 
 GridLike = Union[SudokuSquare, np.ndarray, Sequence]

@@ -181,4 +181,4 @@ def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 2, restarts: int = 
 def random_latin_square(n: int, rng=None, *, effort: int = 2, restarts: int = 50) -> LatinSquare:
     """A random order-n latin square: box type (1, n), whose boxes are the
     rows, so no constraint is added."""
-    return sample_sudoku(1, n, rng, effort=effort, restarts=restarts).square
+    return sample_sudoku(1, n, rng, effort=effort, restarts=restarts)

@@ -64,6 +64,7 @@ from .core import (
     LatinSquare,
     MalformedInputError,
     SudokuSquare,
+    _latin_type,
     cyclic_square,
     intersection_size,
 )
@@ -253,10 +254,10 @@ def _latin_pair(w: int, s: int, cache: PairCache,
         pair = (a, a)
     elif box_h > 1:  # box_w < w, so this recursion ends
         a, b, _ = _sudoku_pair(box_h, box_w, s, cache, seed_db)
-        pair = (a.square, b.square)
+        latin = _latin_type(w)  # the stacked Sudoku check covered rows and columns
+        pair = (SudokuSquare._from_checked(a.cells, latin), SudokuSquare._from_checked(b.cells, latin))
     elif (1, w) in seed_db.types() and s in seed_db.get(1, w).labels():
-        a, b = seed_db.get(1, w).pair_for(s)
-        pair = (a.square, b.square)
+        pair = seed_db.get(1, w).pair_for(s)
     else:
         split = _holed_split(w, s)
         if split is None:  # every prime above 7 has a split or an order-11 fixture

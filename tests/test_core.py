@@ -17,6 +17,10 @@ from sudoku_spectra.core import (
     validate_latin,
     validate_sudoku,
 )
+from sudoku_spectra.formats import parse_single_line
+from sudoku_spectra.markov import random_latin_square, sample_sudoku
+from sudoku_spectra.seeds import DATABASE
+from sudoku_spectra.spectrum import PairCache, realize_latin_pair
 
 
 def test_as_grid_accepts_lists_and_arrays():
@@ -123,7 +127,7 @@ def test_sudoku_equality_includes_box_type():
     s = SudokuSquare(cyclic_square(4), BoxType(1, 4))
     t = SudokuSquare(s.cells, BoxType(4, 1))
     assert s != t
-    assert s.square == t.square
+    assert LatinSquare(s) == LatinSquare(t) == s
     assert len({s, t}) == 2
 
 
@@ -131,18 +135,57 @@ def test_a_latin_square_is_the_square_of_box_type_1_n():
     rows = [[3, 4, 5, 0, 2, 1], [0, 2, 1, 3, 5, 4], [5, 1, 0, 2, 4, 3],
             [2, 3, 4, 5, 1, 0], [4, 5, 3, 1, 0, 2], [1, 0, 2, 4, 3, 5]]  # also box type (2, 3)
     latin, row_boxes = LatinSquare(rows), SudokuSquare(rows, BoxType(1, 6))
-    assert isinstance(latin, SudokuSquare) and latin.box_type == BoxType(1, 6)
+    assert LatinSquare is SudokuSquare and type(latin) is SudokuSquare
+    assert latin.box_type == BoxType(1, 6) and latin.box_type is SudokuSquare(rows).box_type
     assert latin == row_boxes and hash(latin) == hash(row_boxes)
-    assert latin.square is latin and row_boxes.square == latin
-    assert row_boxes.square is row_boxes.square  # kept, not made per access
     others = [SudokuSquare(rows, BoxType(6, 1)), SudokuSquare(rows, BoxType(2, 3))]
-    assert all(other != latin and other.square == latin for other in others)
+    # any square's latin view is its cells at box type (1, n)
+    assert all(other != latin and LatinSquare(other) == latin for other in others)
     assert len({latin, row_boxes, *others}) == 3
     body = "345021/021354/510243/234510/453102/102435"
-    assert repr(latin) == f"LatinSquare({body})"
+    assert repr(latin) == repr(row_boxes) == f"LatinSquare({body})"
     assert repr(others[1]) == f"SudokuSquare(2x3, LatinSquare({body}))"
-    assert repr(SudokuSquare(cyclic_square(17), BoxType(1, 17))) == (
-        "SudokuSquare(1x17, LatinSquare(order 17))")
+    assert repr(SudokuSquare(cyclic_square(17), BoxType(1, 17))) == "LatinSquare(order 17)"
+    assert repr(SudokuSquare(cyclic_square(17), BoxType(17, 1))) == (
+        "SudokuSquare(17x1, LatinSquare(order 17))")
+
+
+def test_a_square_is_checked_as_latin_by_its_cells():
+    square = sample_sudoku(2, 3, 0)
+    assert validate_latin(square).ok and validate_latin(square.transposed()).ok
+    view = LatinSquare(square)
+    assert view == LatinSquare(square.cells) and view.box_type == BoxType(1, 6)
+    assert view.cells is square.cells and view != square
+
+
+def _from_realize_latin_pair(w, s):
+    pair = realize_latin_pair(w, s, cache=PairCache())
+    assert intersection_size(*pair) == s
+    return pair
+
+
+_ROWS_5 = [[(i + 2 * j) % 5 for j in range(5)] for i in range(5)]
+LATIN_SOURCES = {
+    "LatinSquare": lambda: LatinSquare(_ROWS_5),
+    "SudokuSquare-1xn": lambda: SudokuSquare(_ROWS_5, BoxType(1, 5)),
+    "parse_single_line": lambda: parse_single_line("01234|12340|23401|34012|40123", BoxType(1, 5)),
+    "seed-reference": lambda: DATABASE.get(1, 7).reference,
+    "sample_sudoku": lambda: sample_sudoku(1, 5, 0),
+    "random_latin_square": lambda: random_latin_square(5, 0),
+    "pair-seed": lambda: _from_realize_latin_pair(7, 45),
+    "pair-composite": lambda: _from_realize_latin_pair(8, 30),
+    "pair-holed-prime": lambda: _from_realize_latin_pair(13, 40),
+    "pair-cyclic": lambda: _from_realize_latin_pair(6, 36),
+}
+
+
+@pytest.mark.parametrize("source", LATIN_SOURCES)
+def test_every_latin_square_is_one_class(source):
+    made = LATIN_SOURCES[source]()
+    for x in made if isinstance(made, tuple) else (made,):
+        n = x.order
+        assert type(x) is SudokuSquare and x.box_type == BoxType(1, n)
+        assert repr(x).startswith("LatinSquare(") and x == LatinSquare(x.cells)
 
 
 def test_intersection_and_size():
@@ -221,24 +264,25 @@ def test_equal_squares_hash_equal_however_built():
     rows = cert.a.cells.tolist()
     back = RealizationCertificate.from_json(cert.to_json())
     sudokus = [SudokuSquare(rows, cert.a.box_type), cert.a.transposed().transposed(), back.a]
-    latins = [LatinSquare(rows), *(s.square for s in sudokus)]
+    latins = [LatinSquare(rows), *(LatinSquare(s) for s in sudokus)]
     assert len({hash(sq) for sq in latins}) == 1
     assert len({hash(sq) for sq in sudokus}) == 1
     seen = {sq: k for k, sq in enumerate(latins)}
     assert len(seen) == 1 and seen[LatinSquare(rows)] == len(latins) - 1
-    assert len(set(sudokus)) == 1 and cert.b.square not in seen
+    assert len(set(sudokus)) == 1 and LatinSquare(cert.b) not in seen
     assert hash(latins[0]) == hash(latins[0])  # stable once computed
-    for square in (latins[0], back.a.square, sudokus[0]):
+    for square in (latins[0], LatinSquare(back.a), sudokus[0]):
         for name in ("cells", "_hash", "order"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match="SudokuSquare is immutable"):
                 setattr(square, name, None)
 
 
 def test_each_built_square_is_checked_once(monkeypatch):
     from sudoku_spectra import core
     from sudoku_spectra.construct import sudoku_reorder, triangle_product
-    from sudoku_spectra.spectrum import PairCache, RealizationCertificate, realize_sudoku_pair
+    from sudoku_spectra.spectrum import RealizationCertificate, realize_sudoku_pair
 
+    realize_latin_pair(8, 30)  # loads the (2, 4) seeds, checked as they are read
     # every check, public or from a constructor, runs core._check_lines;
     # every grid from outside is coerced by core.as_grid
     checks = []
@@ -269,9 +313,17 @@ def test_each_built_square_is_checked_once(monkeypatch):
     assert made == ["as_grid", "sudoku"]
     assert checks_made_by(lambda: SudokuSquare(s.cells.tolist(), bt))[1] == ["as_grid", "sudoku"]
     assert checks_made_by(lambda: LatinSquare(s.cells.tolist()))[1] == ["as_grid", "latin"]
-    assert checks_made_by(lambda: SudokuSquare(s.square, bt))[1] == ["sudoku"]
+    assert checks_made_by(lambda: SudokuSquare(s, bt))[1] == ["sudoku"]
+    assert checks_made_by(lambda: LatinSquare(s))[1] == ["latin"]
     assert checks_made_by(lambda: validate_sudoku(s.cells, bt))[1] == ["as_grid", "sudoku"]
     assert checks_made_by(lambda: validate_latin(s.cells))[1] == ["as_grid", "latin"]
+    assert checks_made_by(lambda: validate_latin(s))[1] == ["latin"]
+    # a composite latin pair is its Sudoku pair's cells, checked once as a
+    # stack of Sudoku squares and never again as latin squares
+    for t in (0, 30, 40):
+        pair, made = checks_made_by(lambda: realize_latin_pair(8, t, cache=PairCache()))
+        assert made == ["sudoku x2"] and pair[0].box_type == BoxType(1, 8)
+    assert checks_made_by(lambda: random_latin_square(6))[1] == ["as_grid", "latin"]
     assert checks_made_by(s.transposed)[1] == []
     text = RealizationCertificate(s, s, 36, "product").to_json()
     # one check covers both grids; canonical text is parsed straight into
