@@ -5,6 +5,8 @@ Subcommands:
 * ``realize``: construct a pair of Sudoku squares at a target intersection
   and print the verified value; ``--out`` writes the certificate JSON.
 * ``verify``: parse two squares, validate them, print their intersection.
+  Each file's style is read from its text: ``json`` if it starts with
+  ``{``, ``grid`` if it has more than one line, else ``single_line``.
 * ``spectrum``: print the spectrum from the theorem, by brute force, or
   as witnessed by the seed fixtures.
 * ``sample``: print a random Sudoku square from the backtracking sampler,
@@ -28,7 +30,7 @@ from .formats import STYLES, parse, serialize
 from .markov import SampleError, sample_sudoku
 from .pentadoku import classify_all, write_census
 from .seeds import DATABASE
-from .spectrum import PairCache, SpectrumError, realize_sudoku_pair
+from .spectrum import SpectrumError, realize_sudoku_pair
 
 
 def _box_args(p: argparse.ArgumentParser) -> None:
@@ -41,9 +43,8 @@ def _fmt_values(values) -> str:
 
 
 def cmd_realize(args) -> int:
-    cache = PairCache(args.cache) if args.cache else None
     try:
-        cert = realize_sudoku_pair(args.h, args.w, args.t, cache=cache)
+        cert = realize_sudoku_pair(args.h, args.w, args.t)
     except SpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -61,15 +62,8 @@ def cmd_verify(args) -> int:
     def load(path: str):
         with open(path) as f:
             text = f.read()
-        style = args.style
-        if style == "auto":
-            stripped = text.strip()
-            if stripped.startswith("{"):
-                style = "json"
-            elif "\n" not in stripped:
-                style = "single_line"
-            else:
-                style = "grid"
+        stripped = text.strip()
+        style = "json" if stripped.startswith("{") else "grid" if "\n" in stripped else "single_line"
         return parse(text, box, style)
 
     a = load(args.a)
@@ -139,14 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     _box_args(p)
     p.add_argument("--t", type=int, required=True, help="target intersection size")
     p.add_argument("--out", help="write the certificate JSON here")
-    p.add_argument("--cache", help="JSON memo cache file for the latin pairs built")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify", help="check two squares and print their intersection")
     p.add_argument("a", help="path to the first square")
     p.add_argument("b", help="path to the second square")
     _box_args(p)
-    p.add_argument("--style", choices=("auto",) + STYLES, default="auto")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="print the intersection spectrum")

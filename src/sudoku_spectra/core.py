@@ -204,7 +204,8 @@ class SudokuSquare:
     a latin square, of box type (1, n); ``LatinSquare`` names this class,
     and ``LatinSquare(square)`` is any square's cells as a latin square.
     Squares are equal when their box types and cells are.  Any grid is
-    checked once, for all its lines in one pass."""
+    checked once, for all its lines in one pass; a square taken at its own
+    box type or (1, n) is not checked again, as its rows and columns were."""
 
     __slots__ = ("cells", "box_type", "_hash")
 
@@ -212,7 +213,10 @@ class SudokuSquare:
         grid = _cells_of(square)
         if box_type is None:
             box_type = _latin_type(grid.shape[0])
-        object.__setattr__(self, "cells", _checked(grid, box_type))
+        if not (isinstance(square, SudokuSquare)
+                and box_type in (square.box_type, _latin_type(grid.shape[0]))):
+            _checked(grid, box_type)
+        object.__setattr__(self, "cells", grid)
         object.__setattr__(self, "box_type", box_type)
 
     @classmethod

@@ -10,7 +10,8 @@ Three interchangeable styles:
 
 Parsers validate and return SudokuSquare; structural problems raise
 ParseError (a MalformedInputError with a ``kind`` tag) while latin/box
-failures surface as the usual validation errors.
+failures surface as the usual validation errors.  JSON squares and
+certificates are read by one guarded reader, ``read_json_object``.
 """
 from __future__ import annotations
 
@@ -78,25 +79,36 @@ def parse_grid(text: str, box_type: BoxType) -> SudokuSquare:
     return SudokuSquare(rows, box_type)
 
 
-def parse_json(text: str) -> SudokuSquare:
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", list: "an array of rows"}
+
+
+def read_json_object(text, kind: str, fields: dict[str, type]) -> dict:
+    """The JSON object in ``text`` (str or UTF-8 bytes) whose ``fields`` each
+    hold their JSON type: ``int`` (true and false are not integers), ``str``,
+    or ``list``, a grid, which may not hold true or false.  Anything else
+    raises ParseError(kind)."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise ParseError("json", f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or not {"h", "w", "rows"} <= set(obj):
-        raise ParseError("json", 'expected an object with keys "h", "w", "rows"')
-    h, w = obj["h"], obj["w"]
-    # bool is an int subclass, but JSON true/false is not a number
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (h, w)):
-        raise ParseError("json", '"h" and "w" must be positive integers')
-    box = BoxType(h, w)
-    rows = obj["rows"]
-    if not isinstance(rows, list) or holds_json_boolean(rows):
-        raise ParseError("json", '"rows" must be a list of rows of integers')
+        raise ParseError(kind, f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(kind, "expected a JSON object")
+    for key, json_type in fields.items():
+        value = obj.get(key)
+        # bool is an int subclass, but JSON true/false is not a number
+        if not isinstance(value, json_type) or isinstance(value, bool):
+            raise ParseError(kind, f'field "{key}" must be {_JSON_TYPE_NAMES[json_type]}')
+        if json_type is list and holds_json_boolean(value):
+            raise ParseError(kind, f'field "{key}": true or false is not a symbol')
+    return obj
+
+
+def parse_json(text: str) -> SudokuSquare:
+    obj = read_json_object(text, "json", {"h": int, "w": int, "rows": list})
     try:
-        return SudokuSquare(rows, box)
-    except MalformedInputError as exc:  # not an order h*w grid of symbols
-        raise ParseError("json", f'"rows": {exc}') from None
+        return SudokuSquare(obj["rows"], BoxType(obj["h"], obj["w"]))
+    except MalformedInputError as exc:  # h or w below 1, or not an order h*w grid of symbols
+        raise ParseError("json", f"JSON square: {exc}") from None
 
 
 def holds_json_boolean(rows: list) -> bool:

@@ -68,7 +68,7 @@ from .core import (
     cyclic_square,
     intersection_size,
 )
-from .formats import ParseError, grid_json, grids_from_json, holds_json_boolean
+from .formats import ParseError, grid_json, grids_from_json, holds_json_boolean, read_json_object
 from .seeds import DATABASE, SeedDatabase
 
 
@@ -153,6 +153,8 @@ class PairCache:
                 w_str, s_str = key.split(":")
                 w, s = int(w_str), int(s_str)
                 rows_a, rows_b = value
+                if holds_json_boolean(rows_a) or holds_json_boolean(rows_b):
+                    continue  # numpy reads true and false as 1 and 0
                 a, b = LatinSquare(rows_a), LatinSquare(rows_b)
                 if a.order == w and intersection_size(a, b) == s:
                     self._mem[(w, s)] = (a, b)
@@ -218,11 +220,9 @@ def _holed_pair(p: int, m: int, a: int, b: int, x: int, cache: PairCache,
     tau[a:m] = np.roll(tau[a:m], 1)
     tau[m + b:] = np.roll(tau[m + b:], 1)
     inner_a, inner_b = _latin_pair(m, x, cache, seed_db)
-    cells_a = holed.copy()
-    cells_a[k:, k:] = inner_a.cells
-    cells_b = tau[holed]
-    cells_b[k:, k:] = inner_b.cells
-    return LatinSquare(cells_a), LatinSquare(cells_b)
+    cells = np.stack([holed, tau[holed]])
+    cells[:, k:, k:] = inner_a.cells, inner_b.cells
+    return tuple(SudokuSquare._all_checked(cells, _latin_type(p)))
 
 
 def realize_latin_pair(
@@ -270,14 +270,7 @@ def _latin_pair(w: int, s: int, cache: PairCache,
     return pair
 
 
-_CERTIFICATE_FIELDS = {
-    "h": (int, "an integer"),
-    "w": (int, "an integer"),
-    "target": (int, "an integer"),
-    "method": (str, "a string"),
-    "a": (list, "an array of rows"),
-    "b": (list, "an array of rows"),
-}
+_CERTIFICATE_FIELDS = {"h": int, "w": int, "target": int, "method": str, "a": list, "b": list}
 
 
 @dataclass(frozen=True)
@@ -312,12 +305,13 @@ class RealizationCertificate:
         other JSON takes the general path, which gives every rejection."""
         fields = _canonical_certificate(text) if isinstance(text, str) else None
         if fields is None:
-            fields = _certificate_fields(text)
+            obj = read_json_object(text, "certificate", _CERTIFICATE_FIELDS)
+            fields = obj["h"], obj["w"], obj["target"], obj["method"], [obj["a"], obj["b"]]
         h, w, target, method, grids = fields
         if h < 2 or w < 2:
-            raise ParseError("certificate", "certificate fields 'h' and 'w' must be at least 2")
+            raise ParseError("certificate", 'fields "h" and "w" must be at least 2')
         if method not in ("seed", "product"):
-            raise ParseError("certificate", "certificate field 'method' must be seed or product")
+            raise ParseError("certificate", 'field "method" must be seed or product')
         try:
             a, b = SudokuSquare._all_checked(grids, BoxType(h, w))
         except MalformedInputError as exc:  # not an order h*w grid of symbols
@@ -345,25 +339,6 @@ def _canonical_certificate(text: str):
     text_a, text_b, h, method, target, w = match.groups()
     grids = grids_from_json([text_a, text_b], int(h) * int(w))
     return None if grids is None else (int(h), int(w), int(target), method, grids)
-
-
-def _certificate_fields(text):
-    """The fields of any JSON certificate, each of the right JSON type."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise ParseError("certificate", f"certificate is not JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParseError("certificate", "certificate must be a JSON object")
-    for key, (kind, name) in _CERTIFICATE_FIELDS.items():
-        value = obj.get(key)
-        # bool is an int subclass, but JSON true/false is not a number
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ParseError("certificate", f"certificate field {key!r} must be {name}")
-    grids = [obj["a"], obj["b"]]
-    if any(map(holds_json_boolean, grids)):
-        raise ParseError("certificate", "certificate grid: true or false is not a symbol")
-    return obj["h"], obj["w"], obj["target"], obj["method"], grids
 
 
 def realize_sudoku_pair(

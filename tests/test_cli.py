@@ -7,7 +7,7 @@ import pytest
 from sudoku_spectra import cli, enumeration
 from sudoku_spectra.cli import main
 from sudoku_spectra.construct import upsilon
-from sudoku_spectra.core import BoxType
+from sudoku_spectra.core import BoxType, intersection_size
 from sudoku_spectra.formats import parse, serialize
 from sudoku_spectra.markov import sample_sudoku
 from sudoku_spectra.spectrum import RealizationCertificate
@@ -50,40 +50,6 @@ def test_realize_writes_certificate(tmp_path, capsys):
     assert cert.a.box_type == BoxType(2, 4)
 
 
-def test_realize_cache_file_round_trip(tmp_path, capsys):
-    cache_path = tmp_path / "cache.json"
-    args = ("realize", "--h", "2", "--w", "5", "--t", "73", "--cache", str(cache_path))
-    rc, out, _ = run(capsys, *args)
-    assert rc == 0 and out.strip() == "73"
-    first = cache_path.read_bytes()
-    lines = first.decode().splitlines()
-    assert lines and all(isinstance(json.loads(line), dict) for line in lines)
-    rc, out, _ = run(capsys, *args)  # second run hits the cache
-    assert rc == 0 and out.strip() == "73"
-    assert cache_path.read_bytes() == first
-
-
-def test_realize_cache_in_a_missing_directory_names_the_path(tmp_path, capsys):
-    cache_path = tmp_path / "missing" / "cache.json"
-    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "5", "--t", "73",
-                       "--cache", str(cache_path))
-    assert rc == 1 and out == ""
-    assert err.startswith("error: ") and str(cache_path) in err
-
-
-@pytest.mark.parametrize("text", ["[]", '{"4:16": 5}x',
-                                  pytest.param("[" * 100_000, id="nested-too-deep")])
-def test_realize_with_unreadable_cache_exits_1(tmp_path, capsys, text):
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text(text)
-    rc, out, err = run(capsys, "realize", "--h", "2", "--w", "5", "--t", "73",
-                       "--cache", str(cache_path))
-    assert rc == 1 and out == ""
-    assert err.startswith("error: cache file") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert cache_path.read_text() == text
-
-
 def test_realize_impossible_value_exits_2(capsys):
     rc, out, err = run(capsys, "realize", "--h", "2", "--w", "2", "--t", "5")
     assert rc == 2
@@ -123,22 +89,16 @@ def test_realize_rejects_latin_box_types(capsys):
 
 
 def test_verify_all_styles(tmp_path, capsys):
+    # each file's style is read from its own text, so the two may differ
     a = sample_sudoku(2, 3, 7)
     b = sample_sudoku(2, 3, 8)
-    for style in ("single_line", "grid", "json"):
-        pa, pb = tmp_path / f"a.{style}", tmp_path / f"b.{style}"
-        pa.write_text(serialize(a, style) + "\n")
-        pb.write_text(serialize(b, style) + "\n")
+    expected = f"both squares are valid (2, 3) Sudoku latin squares\n{intersection_size(a, b)}\n"
+    for style_a, style_b in [("single_line",) * 2, ("grid",) * 2, ("json",) * 2, ("json", "grid")]:
+        pa, pb = tmp_path / f"a.{style_a}", tmp_path / f"b.{style_b}"
+        pa.write_text(serialize(a, style_a) + "\n")
+        pb.write_text(serialize(b, style_b) + "\n")
         rc, out, _ = run(capsys, "verify", str(pa), str(pb), "--h", "2", "--w", "3")
-        assert rc == 0
-        lines = out.strip().splitlines()
-        assert "valid" in lines[0]
-        value = int(lines[-1])
-        assert 0 <= value <= 36
-        # explicit style agrees with auto sniffing
-        rc2, out2, _ = run(capsys, "verify", str(pa), str(pb),
-                           "--h", "2", "--w", "3", "--style", style)
-        assert rc2 == 0 and out2 == out
+        assert rc == 0 and out == expected
 
 
 def test_verify_rejects_invalid_square(tmp_path, capsys):
@@ -293,8 +253,12 @@ def test_counts_at_their_floor_are_accepted(capsys):
     ["sample", "--h", "2", "--w", "3", "--steps", "1"],
     # the order limit is construct.MAX_ORDER, not a knob
     ["realize", "--h", "2", "--w", "3", "--t", "0", "--max-order", "5"],
+    # the realizer builds its own pairs in milliseconds, so a file cache cannot pay
+    ["realize", "--h", "2", "--w", "3", "--t", "19", "--cache", "pairs.json"],
+    # each file's style is read from its text
+    ["verify", "a.json", "b.json", "--h", "2", "--w", "3", "--style", "json"],
 ], ids=["realize-seed", "pentadoku-threads", "spectrum-threads", "sample-steps",
-        "realize-max-order"])
+        "realize-max-order", "realize-cache", "verify-style"])
 def test_realize_has_no_seed_flag(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(argv)

@@ -11,8 +11,8 @@ from sudoku_spectra.cli import build_parser
 
 OPTIONS = {
     None: ["--help", "--version", "-h", "command"],
-    "realize": ["--cache", "--h", "--help", "--out", "--t", "--w", "-h"],
-    "verify": ["--h", "--help", "--style", "--w", "-h", "a", "b"],
+    "realize": ["--h", "--help", "--out", "--t", "--w", "-h"],
+    "verify": ["--h", "--help", "--w", "-h", "a", "b"],
     "spectrum": ["--h", "--help", "--mode", "--w", "-h"],
     "sample": ["--effort", "--format", "--h", "--help", "--seed", "--w", "-h"],
     "pentadoku": ["--format", "--help", "--out", "-h"],

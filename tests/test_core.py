@@ -97,6 +97,11 @@ def test_sudoku_square_constructor_enforces_boxes():
     assert s.order == 4
     with pytest.raises(BoxViolationError):
         SudokuSquare([rows[0], rows[2], rows[1], rows[3]], bt)
+    # a square is checked again at any box type but its own and (1, n)
+    with pytest.raises(BoxViolationError):
+        SudokuSquare(LatinSquare([rows[0], rows[2], rows[1], rows[3]]), bt)
+    with pytest.raises(MalformedInputError):
+        SudokuSquare(s, BoxType(1, 2))
     # latin failure beats box failure
     with pytest.raises(LatinViolationError):
         SudokuSquare([[0] * 4] * 4, bt)
@@ -313,8 +318,9 @@ def test_each_built_square_is_checked_once(monkeypatch):
     assert made == ["as_grid", "sudoku"]
     assert checks_made_by(lambda: SudokuSquare(s.cells.tolist(), bt))[1] == ["as_grid", "sudoku"]
     assert checks_made_by(lambda: LatinSquare(s.cells.tolist()))[1] == ["as_grid", "latin"]
-    assert checks_made_by(lambda: SudokuSquare(s, bt))[1] == ["sudoku"]
-    assert checks_made_by(lambda: LatinSquare(s))[1] == ["latin"]
+    # a square at its own box type or (1, n) is not checked again
+    assert checks_made_by(lambda: SudokuSquare(s, bt))[1] == []
+    assert checks_made_by(lambda: LatinSquare(s))[1] == []
     assert checks_made_by(lambda: validate_sudoku(s.cells, bt))[1] == ["as_grid", "sudoku"]
     assert checks_made_by(lambda: validate_latin(s.cells))[1] == ["as_grid", "latin"]
     assert checks_made_by(lambda: validate_latin(s))[1] == ["latin"]
@@ -323,6 +329,9 @@ def test_each_built_square_is_checked_once(monkeypatch):
     for t in (0, 30, 40):
         pair, made = checks_made_by(lambda: realize_latin_pair(8, t, cache=PairCache()))
         assert made == ["sudoku x2"] and pair[0].box_type == BoxType(1, 8)
+    # a holed prime pair is checked once, as a stack, around its seed hole
+    pair, made = checks_made_by(lambda: realize_latin_pair(13, 40, cache=PairCache()))
+    assert made == ["latin x2"] and pair[0].box_type == BoxType(1, 13)
     assert checks_made_by(lambda: random_latin_square(6))[1] == ["as_grid", "latin"]
     assert checks_made_by(s.transposed)[1] == []
     text = RealizationCertificate(s, s, 36, "product").to_json()

@@ -17,7 +17,7 @@ from sudoku_spectra.formats import (
     serialize,
 )
 from sudoku_spectra.markov import sample_sudoku
-from sudoku_spectra.spectrum import realize_sudoku_pair
+from sudoku_spectra.spectrum import RealizationCertificate, realize_sudoku_pair
 
 
 def test_round_trip_every_style():
@@ -91,6 +91,8 @@ def test_json_error_kinds():
         with pytest.raises(ParseError) as e:
             parse_json(text)
         assert e.value.kind == "json"
+    with pytest.raises(ParseError, match='^field "rows": true or false is not a symbol$'):
+        parse_json('{"h": 1, "w": 2, "rows": [[0, true], [1, 0]]}')
 
 
 @pytest.mark.parametrize("text", ['{"h":2,"w":2,"rows":' + "[" * 100_000, b"\xff"],
@@ -99,6 +101,21 @@ def test_json_that_does_not_decode_is_a_parse_error(text):
     with pytest.raises(ParseError) as e:
         parse_json(text)
     assert e.value.kind == "json"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "invalid JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+    ("[1]", "expected a JSON object"),
+    ('{"h": true, "w": 2}', 'field "h" must be an integer'),
+    ('{"h": 2, "w": 2.0}', 'field "w" must be an integer'),
+], ids=["not-json", "array", "h-bool", "w-float"])
+def test_squares_and_certificates_read_json_alike(text, message):
+    # one guarded reader; only the kind tag tells the two apart
+    for read, kind in [(parse_json, "json"), (RealizationCertificate.from_json, "certificate")]:
+        with pytest.raises(ParseError) as e:
+            read(text)
+        assert (e.value.kind, str(e.value)) == (kind, message)
 
 
 def test_json_mismatched_box_type():

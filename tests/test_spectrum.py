@@ -224,6 +224,15 @@ def test_pair_cache_drops_bad_entries(tmp_path):
     assert cache.get(2, 4) is None
 
 
+def test_pair_cache_drops_entries_holding_json_booleans(tmp_path):
+    # valid pairs once true and false are read as 1 and 0, as squares and
+    # certificates do not read them
+    path = tmp_path / "pairs.json"
+    path.write_text('{"2:0":[[[0,true],[true,0]],[[1,0],[0,1]]]}\n'
+                    '{"2:4":[[[0,1],[1,0]],[[0,1],[1,false]]]}\n')
+    assert len(PairCache(path)) == 0
+
+
 def _entry_line(w, s, a, b):
     return canonical_json({f"{w}:{s}": [a.cells.tolist(), b.cells.tolist()]}) + "\n"
 
@@ -435,7 +444,7 @@ def test_certificate_json_is_canonical_at_every_digit_width(h, w, monkeypatch):
     text = cert.to_json()
     assert text == canonical_json({"h": h, "w": w, "target": t, "method": cert.method,
                                    "a": cert.a.cells.tolist(), "b": cert.b.cells.tolist()})
-    monkeypatch.setattr(spectrum, "_certificate_fields", _never)
+    monkeypatch.setattr(spectrum, "read_json_object", _never)
     assert RealizationCertificate.from_json(text) == cert
 
 
