@@ -14,8 +14,8 @@ Subcommands:
 * ``pentadoku``: run the 5x5 pentomino-cage census.
 
 Exit codes: 0 on success; 2 for a value outside the spectrum or a usage
-error (an unknown flag, ``--effort -1``); 1 for I/O, parse or validation
-problems, an order above ``construct.MAX_ORDER``, or a sampler out of budget.
+error (an unknown flag); 1 for I/O, parse or validation problems, an order
+above ``construct.MAX_ORDER``, or a sampler out of budget.
 """
 from __future__ import annotations
 
@@ -103,8 +103,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    budget = {} if args.effort is None else {"effort": args.effort}
-    square = sample_sudoku(args.h, args.w, rng=args.seed, **budget)
+    square = sample_sudoku(args.h, args.w, rng=args.seed)
     print(serialize(square, args.format))
     return 0
 
@@ -154,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="print a random Sudoku square")
     _box_args(p)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--effort", type=int, default=None,
-                   help="backtracking budget: effort * n^2 nodes per attempt, over the "
-                        "sampler's restarts (default: the sampler's own)")
     p.add_argument("--format", choices=STYLES, default="single_line")
     p.set_defaults(func=cmd_sample)
 
@@ -169,11 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    effort = getattr(args, "effort", None)
-    if effort is not None and effort < 0:
-        parser.error(f"argument --effort: must be at least 0, got {effort}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, SampleError) as exc:

@@ -4,11 +4,12 @@ The sampler ``sample_sudoku`` runs ``_sample_grid``, a find-one
 exact-cover fill on an explicit stack: it branches on the cell,
 row-symbol or column-symbol item with the fewest options, found by byte
 search in a table of counts (255 once placed, so orders stop at 254)
-kept incrementally against peer tables cached per box layout.  It gives
-up after ``effort * n * n`` nodes to restart with fresh draws (short
-runs with restarts tame heavy tails: Gomes, Selman & Kautz, AAAI 1998).
-A random latin square is a Sudoku square of box type (1, n).  Listing
-every completion is a different job and stays in ``enumeration``.
+kept incrementally against peer tables cached per box layout.  Its
+attempts are cut short on the Luby schedule, up to one node budget, and
+start over with fresh draws (short runs tame heavy tails: Gomes, Selman &
+Kautz, AAAI 1998).  A random latin square is a Sudoku square of box type
+(1, n).  Listing every completion is a different job and stays in
+``enumeration``.
 
 ``sample_sudoku`` and ``random_latin_square`` take ``rng``: an int
 seed, a numpy Generator (used as is), or None.  Fixed generator
@@ -24,9 +25,11 @@ import numpy as np
 
 from .core import BoxType, LatinSquare, SudokuSquare
 
+_BUDGET = 100  # the sampler's node budget over all attempts, in units of 2n^2
+
 
 class SampleError(RuntimeError):
-    """Backtracking sampler exhausted its restart budget."""
+    """Backtracking sampler exhausted its node budget."""
 
 
 @lru_cache(maxsize=16)
@@ -50,7 +53,7 @@ def _peer_table(n: int, group_of: tuple[int, ...]):
 
 
 def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
-                 effort: int) -> list[int] | None:
+                 budget: int) -> list[int] | None:
     """One randomized backtracking attempt; None on budget exhaustion.
 
     Each cell must also differ from the others in its group
@@ -73,10 +76,9 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
     depth-first, one cell per level, on an explicit stack, so no order
     is limited by the interpreter's recursion depth.  Each option tried
     counts one node; None when the tree is exhausted or a node beyond
-    ``effort * n * n`` would be tried.
+    ``budget`` would be tried.
     """
     total = n * n
-    budget = effort * total
     # counts[pos] for cells, counts[row_at[pos] + s] for (row, symbol) and
     # counts[col_at[pos] + s] for (column, symbol)
     peers, row_at, col_at = _peer_table(n, tuple(group_of))
@@ -161,24 +163,30 @@ def _sample_grid(n: int, group_of: Sequence[int], rng: np.random.Generator,
     return grid
 
 
-def sample_sudoku(h: int, w: int, rng=None, *, effort: int = 2, restarts: int = 50) -> SudokuSquare:
-    """A random Sudoku square of box type (h, w), deterministic in rng."""
+def sample_sudoku(h: int, w: int, rng=None) -> SudokuSquare:
+    """A random Sudoku square of box type (h, w), deterministic in rng.
+    Attempt i tries up to luby(i) = 1, 1, 2, 1, 1, 2, 4, ... times 2n^2
+    nodes, within a log factor of the best fixed cutoff for any run-time
+    law (Luby, Sinclair & Zuckerman, IPL 47, 1993); ``SampleError`` once
+    the next would pass ``_BUDGET`` units of 2n^2 nodes in all."""
     box = BoxType(h, w)
     n = box.n
     if n > 254:  # the kernel's byte counts: see _sample_grid
         raise ValueError(f"sampler order {n} exceeds 254")
-    if effort < 0 or restarts < 1:
-        raise ValueError(f"sampler needs effort >= 0 and restarts >= 1, got {effort} and {restarts}")
     box_of = tuple(box.cell_boxes())
     rng = np.random.default_rng(rng)
-    for _ in range(restarts):
-        grid = _sample_grid(n, box_of, rng, effort)
+    spent, u, v = 0, 1, 1
+    while spent + v <= _BUDGET:
+        grid = _sample_grid(n, box_of, rng, v * 2 * n * n)
         if grid is not None:
             return SudokuSquare(np.array(grid, dtype=np.int64).reshape(n, n), box)
-    raise SampleError(f"failed to sample a ({h}, {w}) Sudoku square in {restarts} restarts")
+        spent += v
+        u, v = (u + 1, 1) if u & -u == v else (u, 2 * v)  # Knuth's reluctant doubling
+    raise SampleError(f"failed to sample a ({h}, {w}) Sudoku square in {_BUDGET} units "
+                      f"of 2n^2 = {2 * n * n} backtracking nodes")
 
 
-def random_latin_square(n: int, rng=None, *, effort: int = 2, restarts: int = 50) -> LatinSquare:
+def random_latin_square(n: int, rng=None) -> LatinSquare:
     """A random order-n latin square: box type (1, n), whose boxes are the
     rows, so no constraint is added."""
-    return sample_sudoku(1, n, rng, effort=effort, restarts=restarts)
+    return sample_sudoku(1, n, rng)

@@ -76,8 +76,8 @@ class SpectrumError(ValueError):
     """Requested intersection value is not achievable."""
 
 
-class CertificateError(AssertionError):
-    pass
+class CertificateError(ValueError):
+    """A certificate's pair does not meet in its claimed number of cells."""
 
 
 def _describe_values(allowed: frozenset[int]) -> str:

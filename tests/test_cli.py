@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sudoku_spectra import cli, enumeration
+from sudoku_spectra import enumeration, markov
 from sudoku_spectra.cli import main
 from sudoku_spectra.construct import upsilon
 from sudoku_spectra.core import BoxType, intersection_size
@@ -196,44 +196,27 @@ def test_sample_grid_format(capsys):
     parse(out, BoxType(2, 4), "grid")
 
 
-def test_sample_passes_effort_only_when_given(capsys, monkeypatch):
-    # without --effort the sampler's own default budget applies
-    budgets = []
-
-    def recording(h, w, rng=None, **budget):
-        budgets.append(budget)
-        return sample_sudoku(h, w, rng, **budget)
-
-    monkeypatch.setattr(cli, "sample_sudoku", recording)
-    rc, out, _ = run(capsys, "sample", "--h", "3", "--w", "3", "--seed", "11")
-    assert rc == 0
-    assert out.strip() == serialize(sample_sudoku(3, 3, 11), "single_line")
-    assert run(capsys, "sample", "--h", "3", "--w", "3", "--seed", "11", "--effort", "3")[0] == 0
-    assert budgets == [{}, {"effort": 3}]
-
-
-def test_sample_out_of_budget_exits_1(capsys):
-    rc, out, err = run(capsys, "sample", "--h", "2", "--w", "3", "--seed", "0", "--effort", "0")
+def test_sample_out_of_budget_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(markov, "_BUDGET", 0)
+    rc, out, err = run(capsys, "sample", "--h", "2", "--w", "3", "--seed", "0")
     assert rc == 1 and out == ""
-    assert err.startswith("error: failed to sample a (2, 3) Sudoku square")
+    assert err.startswith("error: failed to sample a (2, 3) Sudoku square in 0 units")
+
+
+def test_sample_at_seeds_beyond_fixed_restarts_exits_0(capsys):
+    # (5, 6) seed 95 and (4, 9) seed 0 ran out of 50 fixed attempts of 2n^2 nodes
+    rc, out, _ = run(capsys, "sample", "--h", "5", "--w", "6", "--seed", "95")
+    assert rc == 0
+    parse(out.strip(), BoxType(5, 6), "single_line")
+    rc, out, _ = run(capsys, "sample", "--h", "4", "--w", "9", "--seed", "0", "--format", "grid")
+    assert rc == 0
+    parse(out, BoxType(4, 9), "grid")
 
 
 def test_sample_above_the_sampler_order_exits_1(capsys):
     rc, out, err = run(capsys, "sample", "--h", "15", "--w", "17", "--seed", "0")
     assert rc == 1 and out == ""
     assert err.startswith("error: sampler order 255 exceeds 254")
-
-
-@pytest.mark.parametrize("argv, flag, low", [
-    (["sample", "--h", "2", "--w", "3", "--effort", "-1"], "--effort", 0),
-], ids=["effort-negative"])
-def test_counts_below_their_floor_are_usage_errors(capsys, argv, flag, low):
-    with pytest.raises(SystemExit) as e:
-        main(argv)
-    assert e.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument {flag}: must be at least {low}, got {argv[-1]}" in captured.err
 
 
 def test_counts_at_their_floor_are_accepted(capsys):
@@ -251,6 +234,8 @@ def test_counts_at_their_floor_are_accepted(capsys):
     ["spectrum", "--h", "2", "--w", "3", "--mode", "brute", "--threads", "2"],
     # the sampler has one path, so there are no chain steps to add
     ["sample", "--h", "2", "--w", "3", "--steps", "1"],
+    # the sampler's node budget is one policy in markov, not a knob
+    ["sample", "--h", "2", "--w", "3", "--effort", "3"],
     # the order limit is construct.MAX_ORDER, not a knob
     ["realize", "--h", "2", "--w", "3", "--t", "0", "--max-order", "5"],
     # the realizer builds its own pairs in milliseconds, so a file cache cannot pay
@@ -258,7 +243,7 @@ def test_counts_at_their_floor_are_accepted(capsys):
     # each file's style is read from its text
     ["verify", "a.json", "b.json", "--h", "2", "--w", "3", "--style", "json"],
 ], ids=["realize-seed", "pentadoku-threads", "spectrum-threads", "sample-steps",
-        "realize-max-order", "realize-cache", "verify-style"])
+        "sample-effort", "realize-max-order", "realize-cache", "verify-style"])
 def test_realize_has_no_seed_flag(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(argv)

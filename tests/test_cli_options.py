@@ -14,7 +14,7 @@ OPTIONS = {
     "realize": ["--h", "--help", "--out", "--t", "--w", "-h"],
     "verify": ["--h", "--help", "--w", "-h", "a", "b"],
     "spectrum": ["--h", "--help", "--mode", "--w", "-h"],
-    "sample": ["--effort", "--format", "--h", "--help", "--seed", "--w", "-h"],
+    "sample": ["--format", "--h", "--help", "--seed", "--w", "-h"],
     "pentadoku": ["--format", "--help", "--out", "-h"],
 }
 

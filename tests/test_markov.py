@@ -48,18 +48,40 @@ def test_samples_vary():
     assert len(seen) >= 25
 
 
-def test_sampler_budget_exhaustion_raises():
-    with pytest.raises(SampleError):
-        random_latin_square(5, 0, effort=0, restarts=2)
+def test_sampler_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(markov, "_BUDGET", 0)
+    with pytest.raises(SampleError, match=r"in 0 units of 2n\^2 = 50 backtracking nodes"):
+        random_latin_square(5, 0)
 
 
-def test_large_orders_fill_without_recursion():
+def test_attempts_follow_the_luby_schedule_up_to_the_budget(monkeypatch):
+    # every attempt fails, so the budget is spent in full: 1, 1, 2, 1, 1,
+    # 2, 4, ... units of 2n^2 nodes, stopping where the next would pass 20
+    budgets = []
+
+    def failing(n, group_of, rng, budget):
+        budgets.append(budget // (2 * n * n))
+
+    monkeypatch.setattr(markov, "_sample_grid", failing)
+    monkeypatch.setattr(markov, "_BUDGET", 20)
+    with pytest.raises(SampleError, match=r"\(2, 3\) Sudoku square in 20 units of 2n\^2 = 72"):
+        sample_sudoku(2, 3, 0)
+    assert budgets == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2]
+
+
+def test_large_orders_fill_without_recursion(monkeypatch):
     # the fill is iterative: order 33 needs 1089 levels, beyond the
-    # interpreter's default recursion limit of 1000, and a budget of n^2
-    # nodes leaves no room to back up, so each level places its first option
-    square = random_latin_square(33, 0, effort=1, restarts=1)
+    # interpreter's default recursion limit of 1000; one attempt is all
+    # the budget allows, and the kernel finds the same square in n^2
+    # nodes, which leave no room to back up, so each level places its
+    # first option
+    monkeypatch.setattr(markov, "_BUDGET", 1)
+    square = random_latin_square(33, 0)
     assert square.order == 33
     assert validate_latin(square.cells).ok
+    rows = tuple(BoxType(1, 33).cell_boxes())
+    grid = markov._sample_grid(33, rows, np.random.default_rng(0), 33 * 33)
+    assert grid == square.cells.ravel().tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -74,9 +96,10 @@ def test_order_25_sudoku_squares_are_sampled():
     assert validate_sudoku(square.cells, BoxType(5, 5)).ok
 
 
-def test_order_36_sudoku_attempt_ends_within_its_budget():
+def test_order_36_sudoku_attempt_ends_within_its_budget(monkeypatch):
+    monkeypatch.setattr(markov, "_BUDGET", 1)
     try:
-        square = sample_sudoku(6, 6, 0, effort=2, restarts=1)
+        square = sample_sudoku(6, 6, 0)
     except SampleError:
         return
     assert validate_sudoku(square.cells, BoxType(6, 6)).ok
@@ -149,7 +172,7 @@ def test_workload_sampler_shapes_are_pinned_by_digest():
     squares += [random_latin_square(n, 0) for n in (37, 130)]
     text = "\n".join(str(square.cells.tolist()) for square in squares)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "de0cf4388b2f998f75940c6ae3bf4855ffabee5a666e3f3aeae76b02d0164248")
+        "407ce90b6e42cf586d226cbe73b885d2d10fefec9a5086939535650626510c3a")
 
 
 @pytest.mark.parametrize("h, w", [(1, 255), (15, 17)])
@@ -162,24 +185,36 @@ def test_orders_above_the_byte_counts_are_refused_before_any_table(monkeypatch, 
         sample_sudoku(h, w, 0)
 
 
-@pytest.mark.parametrize("budget", [{"effort": -1}, {"restarts": 0}])
-def test_a_budget_below_its_floor_is_refused(budget):
-    with pytest.raises(ValueError, match="effort >= 0 and restarts >= 1"):
-        sample_sudoku(2, 2, 0, **budget)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     box=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]),
     seed=st.integers(0, 2**32 - 1),
-    effort=st.integers(0, 3),
+    budget=st.integers(0, 3),
 )
-def test_sampler_returns_a_square_or_raises_within_its_budget(box, seed, effort):
+def test_sampler_returns_a_square_or_raises_within_its_budget(box, seed, budget):
     h, w = box
-    try:
-        square = sample_sudoku(h, w, seed, effort=effort, restarts=1)
-    except SampleError:
-        return
-    assert validate_sudoku(square.cells, BoxType(h, w)).ok
-    # the budget only cuts the search short, so more of it finds the same square
-    assert sample_sudoku(h, w, seed, effort=effort + 5, restarts=1) == square
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(markov, "_BUDGET", budget)
+        try:
+            square = sample_sudoku(h, w, seed)
+        except SampleError:
+            return
+        assert validate_sudoku(square.cells, BoxType(h, w)).ok
+        # attempt i's budget depends on i alone, so more budget only adds
+        # attempts and finds the same square
+        patch.setattr(markov, "_BUDGET", budget + 5)
+        assert sample_sudoku(h, w, seed) == square
+
+
+@pytest.mark.parametrize("seed", [95, 166])
+def test_order_30_seeds_that_ran_out_of_fixed_restarts_are_sampled(seed):
+    # at 50 fixed attempts of 2n^2 nodes these two of seeds 0-199 raised
+    square = sample_sudoku(5, 6, seed)
+    assert validate_sudoku(square.cells, BoxType(5, 6)).ok
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("h, w, seeds", [(5, 6, range(200)), (4, 9, range(3)), (5, 7, range(3))])
+def test_the_default_budget_samples_every_measured_seed(h, w, seeds):
+    for seed in seeds:
+        assert validate_sudoku(sample_sudoku(h, w, seed).cells, BoxType(h, w)).ok

@@ -456,7 +456,7 @@ def _outcome(text, general_only=False):
     with mock.patch.object(spectrum, "_canonical_certificate", fast):
         try:
             return RealizationCertificate.from_json(text)
-        except (ValueError, AssertionError) as exc:  # ParseError, validation, CertificateError
+        except ValueError as exc:  # ParseError, validation and CertificateError alike
             return type(exc), getattr(exc, "kind", None), str(exc)
 
 
@@ -559,6 +559,9 @@ def test_certificate_rejects_tampering():
     obj = json.loads(cert.to_json())
     obj["target"] = 11
     with pytest.raises(CertificateError):
+        RealizationCertificate.from_json(json.dumps(obj))
+    # a wrong target is outside input, caught with every other ValueError
+    with pytest.raises(ValueError, match="pair meets in 10 cells, claimed 11"):
         RealizationCertificate.from_json(json.dumps(obj))
     bad = RealizationCertificate(cert.a, cert.b, cert.target + 1, cert.method)
     with pytest.raises(CertificateError):
