@@ -8,8 +8,6 @@ at random, and census the 5x5 pentomino-cage variant.
 __version__ = "0.1.0"
 
 from .construct import (
-    Decomposition,
-    SeedRequired,
     decompose_target,
     forbidden_values,
     kronecker,

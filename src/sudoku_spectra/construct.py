@@ -20,14 +20,13 @@ box type (h, w), and ``upsilon(n)`` the near-full-free set
 {0..n^2-6} + {n^2-4, n^2} they both eventually equal.
 
 ``decompose_target`` splits a Sudoku target t into h*h latin targets for
-the block product; a handful of targets at w = 4 cannot be split and are
-flagged ``SeedRequired``.
+the block product, or returns None for the three targets at w = 4 that
+cannot be split; the realizer takes those from seed fixtures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -95,6 +94,14 @@ def sudoku_reorder(s: LatinSquare, n: int, m: int) -> SudokuSquare:
 MAX_ORDER = 144  # the largest order whose spectrum, about n^2 values, is built
 
 
+FORBIDDEN_OFFSETS = (1, 2, 3, 5)
+
+
+def forbidden_values(n: int) -> frozenset[int]:
+    """Intersection sizes no pair of order-n squares can have (n >= 3)."""
+    return frozenset(n * n - d for d in FORBIDDEN_OFFSETS)
+
+
 @cache
 def upsilon(n: int) -> frozenset[int]:
     """{0..n^2-6} + {n^2-4, n^2}: every value except the impossible
@@ -103,7 +110,7 @@ def upsilon(n: int) -> frozenset[int]:
         raise ValueError(f"upsilon(n) needs n >= 3, got {n}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the limit {MAX_ORDER}")
-    return frozenset(range(n * n - 5)) | {n * n - 4, n * n}
+    return frozenset(range(n * n + 1)) - forbidden_values(n)
 
 
 @cache
@@ -133,46 +140,6 @@ def sudoku_spectrum(h: int, w: int) -> frozenset[int]:
     return upsilon(h * w)
 
 
-FORBIDDEN_OFFSETS = (1, 2, 3, 5)
-
-
-def forbidden_values(n: int) -> frozenset[int]:
-    """Intersection sizes no pair of order-n squares can have (n >= 3)."""
-    return frozenset(n * n - d for d in FORBIDDEN_OFFSETS)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Latin targets for the h*h family slots, row-major over (i, k)."""
-
-    t: int
-    h: int
-    w: int
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        spectrum = latin_spectrum(self.w)
-        if len(self.parts) != self.h * self.h:
-            raise MalformedInputError(f"need {self.h * self.h} parts, got {len(self.parts)}")
-        if sum(self.parts) != self.t:
-            raise MalformedInputError(f"parts sum to {sum(self.parts)}, target is {self.t}")
-        for part in self.parts:
-            if part not in spectrum:
-                raise MalformedInputError(
-                    f"part {part} is not an achievable order-{self.w} intersection"
-                )
-
-
-@dataclass(frozen=True)
-class SeedRequired:
-    """Marker: the target has no product decomposition and needs a stored
-    seed pair (only happens at w = 4 for t in {n^2-6, n^2-9, n^2-11})."""
-
-    t: int
-    h: int
-    w: int
-
-
 # Splits r = k + l with k, l achievable at order 4, for the residues r
 # in 0..16 that are not themselves achievable.
 ORDER4_SPLITS = {
@@ -185,44 +152,45 @@ ORDER4_SPLITS = {
     15: (9, 6),
 }
 
-# Sudoku targets with no decomposition at w = 4: residues 5, 7, 10 off a
-# single non-full slot, i.e. t = n^2 - 11, n^2 - 9, n^2 - 6.
-SEED_RESIDUES = (5, 7, 10)
+# The residues at w = 4 that cannot fill the one non-full slot of a
+# split: the targets t = n^2 - 11, n^2 - 9, n^2 - 6 have no split.
+UNSPLIT_RESIDUES = (5, 7, 10)
 
 
-def decompose_target(t: int, h: int, w: int) -> Union[Decomposition, SeedRequired]:
-    """Split a box-type (h, w) target t into h*h order-w latin targets.
+def decompose_target(t: int, h: int, w: int) -> tuple[int, ...] | None:
+    """Split a box-type (h, w) target t into h*h order-w latin targets, one
+    per family slot (i, k), row-major; None if t has no split.
 
     Writes t = q*w^2 + r and fills q full slots; the residue goes into one
     slot when achievable at order w, else into two (w = 4 splits, w >= 5
-    uses w^2 - 6 plus a small remainder).  Requires t in the (h, w)
-    spectrum and w >= 4.
+    uses w^2 - 6 plus a small remainder).  With one slot left for it, the
+    residues ``UNSPLIT_RESIDUES`` at w = 4 have no split.  Requires t in
+    the (h, w) spectrum and w >= 4.
     """
     if w < 4:
         raise ValueError(f"decomposition needs w >= 4, got {w}")
     if h < 2:
         raise ValueError(f"decomposition needs h >= 2, got {h}")
-    n = h * w
     if t not in sudoku_spectrum(h, w):
         raise ValueError(f"target {t} is not achievable for box type {(h, w)}")
     slots = h * h
     spectrum = latin_spectrum(w)
     q, r = divmod(t, w * w)
     if q == slots:  # t = n^2, every slot full
-        return Decomposition(t, h, w, (w * w,) * slots)
+        return (w * w,) * slots
     if q == slots - 1:
         # t in upsilon(n) forces r achievable at order w here, except for
-        # the three residues at w = 4 that need stored seeds
-        if w == 4 and r in SEED_RESIDUES:
-            return SeedRequired(t, h, w)
+        # the three residues at w = 4
+        if w == 4 and r in UNSPLIT_RESIDUES:
+            return None
         if r not in spectrum:
             raise AssertionError(
                 f"residue {r} unexpectedly unachievable at order {w} for target {t}"
             )
-        return Decomposition(t, h, w, (w * w,) * q + (r,))
+        return (w * w,) * q + (r,)
     tail = slots - q
     if r in spectrum:
-        return Decomposition(t, h, w, (w * w,) * q + (r,) + (0,) * (tail - 1))
+        return (w * w,) * q + (r,) + (0,) * (tail - 1)
     if w == 4:
         k, l = ORDER4_SPLITS[r]
     else:
@@ -230,4 +198,4 @@ def decompose_target(t: int, h: int, w: int) -> Union[Decomposition, SeedRequire
         if not 1 <= s <= 5:
             raise AssertionError(f"residue {r} out of expected range at order {w}")
         k, l = w * w - 6, s
-    return Decomposition(t, h, w, (w * w,) * q + (k, l) + (0,) * (tail - 2))
+    return (w * w,) * q + (k, l) + (0,) * (tail - 2)

@@ -211,10 +211,10 @@ class SudokuSquare:
 
     def __init__(self, square: GridLike, box_type: BoxType | None = None):
         grid = _cells_of(square)
+        latin = _latin_type(grid.shape[0])
         if box_type is None:
-            box_type = _latin_type(grid.shape[0])
-        if not (isinstance(square, SudokuSquare)
-                and box_type in (square.box_type, _latin_type(grid.shape[0]))):
+            box_type = latin
+        if not (isinstance(square, SudokuSquare) and box_type in (latin, square.box_type)):
             _checked(grid, box_type)
         object.__setattr__(self, "cells", grid)
         object.__setattr__(self, "box_type", box_type)

@@ -149,7 +149,8 @@ def serialize(square: SudokuSquare, style: str = "single_line") -> str:
 
 
 def canonical_json(obj) -> str:
-    """Sorted-keys, no-whitespace JSON used for certificates and caches."""
+    """Sorted-keys, no-whitespace JSON: the reference that ``grid_json``,
+    certificate ``to_json`` text and cache journal lines are tested against."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

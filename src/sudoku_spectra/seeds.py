@@ -5,13 +5,13 @@ single-line notation.  Entries are labelled with their intersection size
 against a reference square, the last entry (it is the square compared
 with itself, so its label is n^2).
 
-These seeds serve three roles: they witness complete spectra at the
-small box types (2,2), (2,3), (3,3); they supply the three exceptional
-targets n^2-6, n^2-9, n^2-11 at box width 4 that no product
-decomposition reaches; and, stored as box type (1, w) (each box one
-row), they hold latin pairs at the prime orders the holed-square
-construction does not cover: every value at orders 2, 3, 5 and 7, and
-the nine values it misses at order 11.
+The seeds are the realizer's fallback, used only where no construction
+applies: every target at the small box types (2,2), (2,3), (3,3); the
+three targets n^2-6, n^2-9, n^2-11 at box width 4, where
+``construct.decompose_target`` returns None; and, stored as box type
+(1, w) (each box one row), the latin pairs the holed-square split does
+not reach: every value at orders 2, 3, 5 and 7, and nine values at
+order 11.
 
 Every label is recomputed when its file is loaded; a label that does not
 match raises ParseError (kind "label").

@@ -4,33 +4,33 @@ squares, plus the machinery behind it.
 ``realize_sudoku_pair(h, w, t)`` builds a pair of box type (h, w) with
 h <= w and transposes it when h > w:
 
-* (2,2), (2,3), (3,3) come straight from the seed fixtures, which witness
-  those complete spectra;
-* at box width 4, the three targets n^2-6, n^2-9, n^2-11 have no product
-  decomposition and also come from seeds;
-* everything else splits t into h*h order-w latin targets
-  (``decompose_target``) realized as latin pairs (below).  Both squares
-  are gathered at once by construct's block-product kernel over the cyclic
-  outer square, rows already in Sudoku form, and checked in one stacked
-  pass.  Intersections add across family slots, so the pair meets the
-  target exactly; the result is re-verified anyway.
+* t splits into h*h order-w latin targets (``decompose_target``)
+  realized as latin pairs (below).  Both squares are gathered at once by
+  construct's block-product kernel over the cyclic outer square, rows
+  already in Sudoku form, and checked in one stacked pass.  Intersections
+  add across family slots, so the pair meets the target exactly; the
+  result is re-verified anyway.
+* Where no split applies, the pair comes from the seed fixtures: every
+  target at w < 4, that is at (2,2), (2,3) and (3,3), and the three
+  targets n^2-6, n^2-9, n^2-11 at box width 4.
 
 ``realize_latin_pair(w, s)`` never searches, and its pair depends on
 (w, s) alone:
 
+* at s = w^2 it is the cyclic square twice;
 * at a composite order w = a*b the pair is a box type (a, b) Sudoku pair,
-  whose spectrum is the order-w latin spectrum, built as above (seeds
-  and the block product);
-* at the prime orders 2, 3, 5 and 7, and for the nine values the holed
-  square misses at order 11, it comes from checked-in seed fixtures of
-  box type (1, w);
-* at every other prime order p >= 11 it is a holed square (Dénes and
-  Keedwell 1974; Evans 1960): the cyclic square of odd order k = p - m
-  on the symbols m..p-1, prolonged along its broken diagonals 0..m-1,
-  leaves an order-m hole, m even, that takes an order-m latin pair (X, Y)
-  meeting in x cells.  A symbol permutation of the second square that
-  fixes a of the m hole symbols and b of the k outer symbols gives
-  |A ∩ B| = k*a + p*b + x.
+  whose spectrum is the order-w latin spectrum, built as above (the
+  block product, or seeds);
+* at a prime order p it is a holed square (Dénes and Keedwell 1974;
+  Evans 1960) where s has a split: the cyclic square of odd order
+  k = p - m on the symbols m..p-1, prolonged along its broken diagonals
+  0..m-1, leaves an order-m hole, m even, that takes an order-m latin
+  pair (X, Y) meeting in x cells.  A symbol permutation of the second
+  square that fixes a of the m hole symbols and b of the k outer symbols
+  gives |A ∩ B| = k*a + p*b + x;
+* where no construction applies, it comes from the seed fixtures of box
+  type (1, w): every s < w^2 at the primes 2, 3, 5 and 7, which have no
+  split, and the nine values the split misses at order 11.
 
 Both realizers check their input once: a value outside the spectrum
 raises ``SpectrumError``, an order above ``construct.MAX_ORDER`` raises
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import (
-    SeedRequired,
+    FORBIDDEN_OFFSETS,
     _block_products,
     decompose_target,
     forbidden_values,
@@ -97,11 +97,10 @@ def _describe_values(allowed: frozenset[int]) -> str:
 def _spectrum_message(value: int, n: int, allowed: frozenset[int], what: str) -> str:
     msg = f"{value} is not an achievable intersection for {what}"
     if n >= 3 and value in forbidden_values(n):
-        excluded = sorted(forbidden_values(n))
+        *terms, last = (f"n^2-{d}" for d in FORBIDDEN_OFFSETS)
         msg += (
-            f"; no two distinct order-{n} latin squares can agree on "
-            f"n^2-1, n^2-2, n^2-3, or n^2-5 cells (= {excluded[3]}, {excluded[2]}, "
-            f"{excluded[1]}, {excluded[0]})"
+            f"; no two distinct order-{n} latin squares can agree on {', '.join(terms)}, "
+            f"or {last} cells (= {', '.join(str(n * n - d) for d in FORBIDDEN_OFFSETS)})"
         )
     else:
         msg += f"; achievable values are {_describe_values(allowed)}"
@@ -254,18 +253,11 @@ def _latin_pair(w: int, s: int, cache: PairCache,
         pair = (a, a)
     elif box_h > 1:  # box_w < w, so this recursion ends
         a, b, _ = _sudoku_pair(box_h, box_w, s, cache, seed_db)
-        latin = _latin_type(w)  # the stacked Sudoku check covered rows and columns
-        pair = (SudokuSquare._from_checked(a.cells, latin), SudokuSquare._from_checked(b.cells, latin))
-    elif (1, w) in seed_db.types() and s in seed_db.get(1, w).labels():
-        pair = seed_db.get(1, w).pair_for(s)
-    else:
-        split = _holed_split(w, s)
-        if split is None:  # every prime above 7 has a split or an order-11 fixture
-            raise AssertionError(
-                f"no seed or holed-square split gives a pair of order-{w} latin squares "
-                f"meeting in {s} cells; {s} is achievable at order {w}"
-            )
+        pair = LatinSquare(a), LatinSquare(b)
+    elif (split := _holed_split(w, s)) is not None:
         pair = _holed_pair(w, *split, cache, seed_db)  # m < w, so this recursion ends
+    else:  # the primes 2, 3, 5, 7 and nine values at order 11 have no split
+        pair = seed_db.get(1, w).pair_for(s)
     cache.put(w, s, pair)
     return pair
 
@@ -369,14 +361,15 @@ def realize_sudoku_pair(
 def _sudoku_pair(h: int, w: int, t: int, cache: PairCache, seed_db: SeedDatabase):
     """(a, b, method): box type (h, w) Sudoku squares meeting in an
     achievable t cells, for 2 <= h <= w."""
-    if w < 4 or isinstance(dec := decompose_target(t, h, w), SeedRequired):
-        a, b = seed_db.get(h, w).pair_for(t)  # (2, 2), (2, 3), (3, 3) are seeds only
+    split = decompose_target(t, h, w) if w >= 4 else None
+    if split is None:  # every target at (2, 2), (2, 3), (3, 3); three at w = 4
+        a, b = seed_db.get(h, w).pair_for(t)
         return a, b, "seed"
     # at most four distinct parts: w^2, the residue, 0, or w^2-6 and the rest
-    parts = list(dict.fromkeys(dec.parts))
+    parts = list(dict.fromkeys(split))
     pairs = [_latin_pair(w, part, cache, seed_db) for part in parts]
     # row-major: part i*h + k fills slot (i, k) of both squares, rows reordered
     grids = _block_products(cyclic_square(h), np.array([[x.cells, y.cells] for x, y in pairs]),
-                            [parts.index(part) for part in dec.parts], reorder=True)
+                            [parts.index(part) for part in split], reorder=True)
     a, b = SudokuSquare._all_checked(grids, BoxType(h, w))
     return a, b, "product"

@@ -219,11 +219,9 @@ def test_sample_above_the_sampler_order_exits_1(capsys):
     assert err.startswith("error: sampler order 255 exceeds 254")
 
 
-def test_counts_at_their_floor_are_accepted(capsys):
+def test_sample_prints_the_library_square_for_its_seed(capsys):
     rc, out, _ = run(capsys, "sample", "--h", "2", "--w", "2", "--seed", "1")
     assert rc == 0 and out.strip() == serialize(sample_sudoku(2, 2, 1), "single_line")
-    rc, out, _ = run(capsys, "spectrum", "--h", "2", "--w", "2", "--mode", "brute")
-    assert rc == 0 and out.split() == "0 1 2 3 4 6 8 9 12 16".split()
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,6 @@ import pytest
 from sudoku_spectra.construct import (
     FORBIDDEN_OFFSETS,
     ORDER4_SPLITS,
-    Decomposition,
-    SeedRequired,
     decompose_target,
     forbidden_values,
     kronecker,
@@ -218,24 +216,18 @@ def test_order4_splits_cover_exactly_the_gaps():
 
 
 def test_decompose_every_achievable_target():
-    for h, w in [(2, 4), (3, 4), (2, 5), (3, 5), (2, 6)]:
+    for h, w in [(2, 4), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6)]:
         n = h * w
-        seeds_expected = (
-            {n * n - 11, n * n - 9, n * n - 6} if w == 4 else set()
-        )
+        unsplit = {n * n - 11, n * n - 9, n * n - 6} if w == 4 else set()
         for t in sorted(sudoku_spectrum(h, w)):
-            out = decompose_target(t, h, w)
-            if isinstance(out, SeedRequired):
-                assert t in seeds_expected, (h, w, t)
+            parts = decompose_target(t, h, w)
+            if t in unsplit:
+                assert parts is None, (h, w, t)
                 continue
-            assert isinstance(out, Decomposition)
-            assert sum(out.parts) == t
-            assert len(out.parts) == h * h
-            assert all(p in latin_spectrum(w) for p in out.parts)
-            seeds_expected.discard(t)
-        assert not seeds_expected or all(
-            isinstance(decompose_target(t, h, w), SeedRequired) for t in seeds_expected
-        )
+            assert isinstance(parts, tuple), (h, w, t)
+            assert sum(parts) == t
+            assert len(parts) == h * h
+            assert all(p in latin_spectrum(w) for p in parts)
 
 
 def test_decompose_rejects_bad_targets():
@@ -245,9 +237,3 @@ def test_decompose_rejects_bad_targets():
         decompose_target(4, 2, 3)  # w < 4 has no product decomposition
     with pytest.raises(ValueError):
         decompose_target(4, 1, 4)
-    with pytest.raises(MalformedInputError):
-        Decomposition(9, 2, 4, (9,))  # wrong slot count
-    with pytest.raises(MalformedInputError):
-        Decomposition(9, 2, 4, (9, 1, 0, 0))  # wrong sum
-    with pytest.raises(MalformedInputError):
-        Decomposition(5, 2, 4, (5, 0, 0, 0))  # 5 not achievable at order 4

@@ -8,9 +8,9 @@ import sudoku_spectra
 
 PUBLIC_NAMES = [
     "BoxType", "BoxViolationError", "CATEGORIES", "CensusReport", "CertificateError",
-    "DATABASE", "Decomposition", "FULL_SPECTRUM", "LatinSquare", "LatinViolationError",
+    "DATABASE", "FULL_SPECTRUM", "LatinSquare", "LatinViolationError",
     "MalformedInputError", "PairCache", "ParseError", "RIGID_SOLUTION", "RIGID_SPECTRUM",
-    "RIGID_TILING", "RealizationCertificate", "SampleError", "SeedDatabase", "SeedRequired",
+    "RIGID_TILING", "RealizationCertificate", "SampleError", "SeedDatabase",
     "SpectrumError", "SpectrumReport", "SudokuSquare", "Tiling", "TilingClass",
     "ValidationError", "ValidationReport", "brute_force_latin_spectrum",
     "brute_force_spectrum", "canonical_cage_key", "census_text", "classify_all",

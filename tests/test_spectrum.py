@@ -23,7 +23,7 @@ from sudoku_spectra.core import (
     validate_latin,
 )
 from sudoku_spectra.formats import ParseError, canonical_json, grid_json, grids_from_json
-from sudoku_spectra.seeds import DATABASE
+from sudoku_spectra.seeds import DATABASE, SeedSet
 from sudoku_spectra.spectrum import (
     CertificateError,
     PairCache,
@@ -129,12 +129,35 @@ def test_holed_pair_meets_in_k_a_plus_p_b_plus_x(data):
 
 
 def test_holed_split_misses_only_the_order_11_fixture_values():
-    # every prime inner width under the default max order 144; without a
-    # split or a fixture, realize_latin_pair raises AssertionError
+    # every prime box width under the order limit 144 (the widest is 71,
+    # at (2, 71)); a value with neither a split nor a fixture would reach
+    # seed_db.get(1, p).pair_for, which raises KeyError
     for p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71):
         missed = {s for s in latin_spectrum(p) - {p * p} if spectrum._holed_split(p, s) is None}
         assert missed == (ORDER_11_LEFTOVERS if p == 11 else set()), p
     assert DATABASE.get(1, 11).labels() == ORDER_11_LEFTOVERS | {121}
+
+
+def test_seed_fixtures_are_used_only_where_no_construction_applies(monkeypatch):
+    used = set()
+    pair_for = SeedSet.pair_for
+
+    def recorded(self, t):
+        used.add((self.box_type.h, self.box_type.w, t))
+        return pair_for(self, t)
+
+    monkeypatch.setattr(SeedSet, "pair_for", recorded)
+    for h, w in REALIZE_TYPES:
+        for t in sudoku_spectrum(h, w):
+            realize_sudoku_pair(h, w, t)
+    for w in range(2, 14):
+        for s in latin_spectrum(w):
+            realize_latin_pair(w, s)
+    expected = {(h, w, t) for h, w in [(2, 2), (2, 3), (3, 3)] for t in sudoku_spectrum(h, w)}
+    expected |= {(h, 4, (4 * h) ** 2 - d) for h in (2, 3, 4) for d in (11, 9, 6)}
+    expected |= {(1, p, s) for p in (2, 3, 5, 7) for s in latin_spectrum(p) - {p * p}}
+    expected |= {(1, 11, s) for s in ORDER_11_LEFTOVERS}
+    assert used == expected
 
 
 def test_every_target_at_prime_orders_11_13_37_and_a_sample_at_71_realizes():
@@ -351,7 +374,7 @@ def test_a_warm_target_builds_one_latin_pair_per_distinct_part(monkeypatch):
     for t in targets:
         calls.clear()
         assert realize_sudoku_pair(6, 6, t, cache=cache).verify() == t
-        parts = spectrum.decompose_target(t, 6, 6).parts
+        parts = spectrum.decompose_target(t, 6, 6)
         assert sorted(calls) == sorted(set(parts)) and len(calls) <= 4, t
 
 
