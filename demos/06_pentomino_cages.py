@@ -12,6 +12,7 @@ from sudoku_spectra import (
     CATEGORIES,
     RIGID_SOLUTION,
     RIGID_TILING,
+    canonical_cage_key,
     classify_all,
     solve_cage_latin,
 )
@@ -24,7 +25,7 @@ def main():
     print()
 
     rigid = report.by_category("rigid")[0]
-    assert rigid.tiling.canonical_key() == RIGID_TILING.canonical_key()
+    assert canonical_cage_key(rigid.tiling.grid) == canonical_cage_key(RIGID_TILING.grid)
     print("the unique rigid tiling (cage ids):")
     for row in RIGID_TILING.grid:
         print("  ", "".join(str(v) for v in row))

@@ -26,7 +26,7 @@ from . import __version__
 from .construct import sudoku_spectrum
 from .core import BoxType, intersection_size
 from .enumeration import brute_force_spectrum
-from .formats import STYLES, parse, serialize
+from .formats import STYLES, _check_style, parse, serialize
 from .markov import SampleError, sample_sudoku
 from .pentadoku import classify_all, write_census
 from .seeds import DATABASE
@@ -103,6 +103,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_style(args.format, args.h * args.w)  # before sampling, which can take seconds
     square = sample_sudoku(args.h, args.w, rng=args.seed)
     print(serialize(square, args.format))
     return 0

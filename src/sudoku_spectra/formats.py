@@ -98,7 +98,8 @@ def read_json_object(text, kind: str, fields: dict[str, type]) -> dict:
         # bool is an int subclass, but JSON true/false is not a number
         if not isinstance(value, json_type) or isinstance(value, bool):
             raise ParseError(kind, f'field "{key}" must be {_JSON_TYPE_NAMES[json_type]}')
-        if json_type is list and holds_json_boolean(value):
+        # numpy would read true and false in a grid as 1 and 0
+        if json_type is list and any(bool in map(type, r) for r in value if isinstance(r, list)):
             raise ParseError(kind, f'field "{key}": true or false is not a symbol')
     return obj
 
@@ -109,11 +110,6 @@ def parse_json(text: str) -> SudokuSquare:
         return SudokuSquare(obj["rows"], BoxType(obj["h"], obj["w"]))
     except MalformedInputError as exc:  # h or w below 1, or not an order h*w grid of symbols
         raise ParseError("json", f"JSON square: {exc}") from None
-
-
-def holds_json_boolean(rows: list) -> bool:
-    """Whether JSON rows hold true or false, which numpy reads as 1 and 0."""
-    return any(bool in map(type, row) for row in rows if isinstance(row, list))
 
 
 def parse(text: str, box_type: BoxType, style: str) -> SudokuSquare:
@@ -132,20 +128,25 @@ def parse(text: str, box_type: BoxType, style: str) -> SudokuSquare:
     raise ValueError(f"unknown style {style!r}, expected one of {STYLES}")
 
 
+def _check_style(style: str, n: int) -> None:
+    """Raise ValueError unless ``style`` can print an order-n square."""
+    if style not in STYLES:
+        raise ValueError(f"unknown style {style!r}, expected one of {STYLES}")
+    if style == "single_line" and n > len(_DIGITS):
+        raise ValueError(f"single_line style supports orders up to {len(_DIGITS)}, got {n}")
+
+
 def serialize(square: SudokuSquare, style: str = "single_line") -> str:
     n = square.order
+    _check_style(style, n)
     if style == "single_line":
-        if n > len(_DIGITS):
-            raise ValueError(f"single_line style supports orders up to {len(_DIGITS)}, got {n}")
         return "|".join("".join(_DIGITS[v] for v in row) for row in square.cells.tolist())
     if style == "grid":
         width = len(str(n - 1))
         return "\n".join(
             " ".join(str(v).rjust(width) for v in row) for row in square.cells.tolist()
         )
-    if style == "json":
-        return f'{{"h":{square.box_type.h},"rows":{grid_json(square.cells)},"w":{square.box_type.w}}}'
-    raise ValueError(f"unknown style {style!r}, expected one of {STYLES}")
+    return f'{{"h":{square.box_type.h},"rows":{grid_json(square.cells)},"w":{square.box_type.w}}}'
 
 
 def canonical_json(obj) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -127,12 +127,11 @@ class Tiling:
     """A cage partition of the 5x5 grid into five distinct pentominoes.
 
     ``grid[r][c]`` is the cage id (0..4, first-appearance order) and
-    ``shapes[i]`` the free pentomino type of cage i, read from the grid
-    when not given.
+    ``shapes[i]`` the free pentomino type of cage i, read from the grid.
     """
 
     grid: Grid
-    shapes: tuple[str, ...] | None = None
+    shapes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid)
@@ -149,12 +148,9 @@ class Tiling:
             if len(cells) != SIZE:
                 raise ValueError(f"cage {i} has {len(cells)} cells, expected {SIZE}")
             names.append(shape_name(cells))
-        if self.shapes is None:
-            object.__setattr__(self, "shapes", tuple(names))
-        elif tuple(names) != self.shapes:
-            raise ValueError(f"shapes {self.shapes} do not match cages {tuple(names)}")
         if len(set(names)) != SIZE:
             raise ValueError("cages must be pairwise distinct pentomino types")
+        object.__setattr__(self, "shapes", tuple(names))
 
     @classmethod
     def from_grid(cls, grid) -> "Tiling":
@@ -167,9 +163,6 @@ class Tiling:
 
     def key(self) -> str:
         return "".join(str(v) for row in self.grid for v in row)
-
-    def canonical_key(self) -> str:
-        return canonical_cage_key(self.grid)
 
 
 @cache
@@ -302,9 +295,9 @@ class CensusReport:
         return tuple(c for c in self.classes if c.category == category)
 
 
-def classify_all(tilings: tuple[Tiling, ...] | None = None) -> CensusReport:
-    """Classify the tilings (all when not given), solved in one fill, a family each."""
-    tilings = enumerate_tilings() if tilings is None else tuple(tilings)
+def classify_all() -> CensusReport:
+    """Classify every tiling, all solved in one fill, a family each."""
+    tilings = enumerate_tilings()
     solutions, family = _fill_squares(SIZE, [sum(t.grid, ()) for t in tilings], True)
     parts = np.split(solutions, np.searchsorted(family, np.arange(1, len(tilings))))
     return CensusReport(tuple(classify_tiling(t, s) for t, s in zip(tilings, parts)))

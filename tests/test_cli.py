@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from sudoku_spectra import enumeration, markov
+from sudoku_spectra import cli, enumeration, markov
 from sudoku_spectra.cli import main
 from sudoku_spectra.construct import upsilon
 from sudoku_spectra.core import BoxType, intersection_size
 from sudoku_spectra.formats import parse, serialize
 from sudoku_spectra.markov import sample_sudoku
-from sudoku_spectra.spectrum import RealizationCertificate
+from sudoku_spectra.spectrum import RealizationCertificate, realize_sudoku_pair
 
 
 def run(capsys, *argv):
@@ -214,9 +214,28 @@ def test_sample_at_seeds_beyond_fixed_restarts_exits_0(capsys):
 
 
 def test_sample_above_the_sampler_order_exits_1(capsys):
-    rc, out, err = run(capsys, "sample", "--h", "15", "--w", "17", "--seed", "0")
+    rc, out, err = run(capsys, "sample", "--h", "15", "--w", "17", "--seed", "0",
+                       "--format", "grid")
     assert rc == 1 and out == ""
     assert err.startswith("error: sampler order 255 exceeds 254")
+
+
+def test_sample_checks_its_style_before_sampling(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a square that the style cannot print")
+
+    monkeypatch.setattr(cli, "sample_sudoku", refuse)
+    for h, w in [(3, 13), (15, 17)]:
+        rc, out, err = run(capsys, "sample", "--h", str(h), "--w", str(w), "--seed", "0")
+        assert rc == 1 and out == ""
+        assert err == f"error: single_line style supports orders up to 36, got {h * w}\n"
+    # the grid style prints any order, so it samples: a stand-in keeps this fast
+    square = realize_sudoku_pair(3, 13, 39 * 39).a
+    calls = []
+    monkeypatch.setattr(cli, "sample_sudoku", lambda *args, **kw: calls.append(args) or square)
+    rc, out, _ = run(capsys, "sample", "--h", "3", "--w", "13", "--seed", "0", "--format", "grid")
+    assert rc == 0 and calls == [(3, 13)]
+    assert parse(out, BoxType(3, 13), "grid") == square
 
 
 def test_sample_prints_the_library_square_for_its_seed(capsys):

@@ -16,6 +16,7 @@ from sudoku_spectra import markov, spectrum
 from sudoku_spectra.construct import MAX_ORDER, latin_spectrum, sudoku_spectrum
 from sudoku_spectra.core import (
     BoxType,
+    LatinSquare,
     SudokuSquare,
     ValidationError,
     Violation,
@@ -212,52 +213,34 @@ def test_spectrum_error_messages_explain():
         realize_latin_pair(4, 5)
 
 
+def _entry_line(w, s, a, b):
+    return canonical_json({f"{w}:{s}": [a.cells.tolist(), b.cells.tolist()]}) + "\n"
+
+
 def test_pair_cache_memoizes_and_persists(tmp_path):
     path = tmp_path / "pairs.json"
     cache = PairCache(path)
     assert cache.get(4, 6) is None
     pair = realize_latin_pair(4, 6, cache=cache)
-    assert cache.get(4, 6) == pair
+    assert cache.get(4, 6) == pair and len(cache) == 1
     # a second call with the same cache returns the identical pair
     assert realize_latin_pair(4, 6, cache=cache) == pair
-
-    reloaded = PairCache(path)
-    assert len(reloaded) == 1
-    a, b = reloaded.get(4, 6)
-    assert intersection_size(a, b) == 6
+    assert path.read_text() == _entry_line(4, 6, *pair)
 
 
-def test_pair_cache_drops_bad_entries(tmp_path):
+@pytest.mark.parametrize("data", [
+    pytest.param(_entry_line(2, 0, LatinSquare([[0, 1], [1, 0]]), LatinSquare([[1, 0], [0, 1]]))
+                 .encode(), id="one-entry-line"),
+    pytest.param(b'\xff\x00{"5:0":[[[0,1' + b"[" * 1000, id="arbitrary-bytes"),
+])
+def test_pair_cache_never_reads_its_file(tmp_path, data):
     path = tmp_path / "pairs.json"
-    good_a = [[0, 1], [1, 0]]
-    good_b = [[1, 0], [0, 1]]
-    payload = {
-        "2:0": [good_a, good_b],
-        "2:4": [good_a, good_b],  # label lies: intersection is 0
-        "nonsense": [good_a, good_b],
-        "3:0": [[[0, 0], [0, 0]], good_b],  # not latin
-        "4:16": 5,  # not a pair
-        "4:0": [good_a, good_b, good_a],  # three squares
-        "5:0": "ab",  # strings, not grids
-    }
-    path.write_text(json.dumps(payload))
+    path.write_bytes(data)
     cache = PairCache(path)
-    assert len(cache) == 1
-    assert cache.get(2, 0) is not None
-    assert cache.get(2, 4) is None
-
-
-def test_pair_cache_drops_entries_holding_json_booleans(tmp_path):
-    # valid pairs once true and false are read as 1 and 0, as squares and
-    # certificates do not read them
-    path = tmp_path / "pairs.json"
-    path.write_text('{"2:0":[[[0,true],[true,0]],[[1,0],[0,1]]]}\n'
-                    '{"2:4":[[[0,1],[1,0]],[[0,1],[1,false]]]}\n')
-    assert len(PairCache(path)) == 0
-
-
-def _entry_line(w, s, a, b):
-    return canonical_json({f"{w}:{s}": [a.cells.tolist(), b.cells.tolist()]}) + "\n"
+    assert len(cache) == 0 and cache.get(2, 0) is None
+    a, b = realize_latin_pair(4, 6, cache=PairCache())
+    cache.put(4, 6, (a, b))
+    assert path.read_bytes() == data + _entry_line(4, 6, a, b).encode()
 
 
 def test_pair_cache_appends_one_canonical_line_per_new_pair(tmp_path):
@@ -271,9 +254,8 @@ def test_pair_cache_appends_one_canonical_line_per_new_pair(tmp_path):
         assert data.startswith(before)  # earlier bytes are never rewritten
         assert data[len(before):].decode() == _entry_line(w, s, a, b)
         before = data
-    reloaded = PairCache(path)
-    assert len(reloaded) == 2
-    assert all(reloaded.get(w, s) == pair for (w, s), pair in pairs.items())
+    assert len(cache) == 2
+    assert all(cache.get(w, s) == pair for (w, s), pair in pairs.items())
 
 
 def test_pair_cache_hit_writes_nothing(tmp_path):
@@ -282,48 +264,17 @@ def test_pair_cache_hit_writes_nothing(tmp_path):
     pair = realize_latin_pair(4, 6, cache=cache)
     data = path.read_bytes()
     assert realize_latin_pair(4, 6, cache=cache) == pair
-    assert realize_latin_pair(4, 6, cache=PairCache(path)) == pair
     assert path.read_bytes() == data
 
 
 def test_pair_caches_sharing_a_file_keep_each_others_entries(tmp_path):
     path = tmp_path / "pairs.json"
     first, second = PairCache(path), PairCache(path)
-    realize_latin_pair(4, 6, cache=first)
-    realize_latin_pair(5, 0, cache=second)
-    reloaded = PairCache(path)
-    assert reloaded.get(4, 6) == first.get(4, 6)
-    assert reloaded.get(5, 0) == second.get(5, 0)
-
-
-def test_pair_cache_loads_a_single_object_file_and_appends_after_it(tmp_path):
-    path = tmp_path / "pairs.json"
-    good_a = [[0, 1], [1, 0]]
-    good_b = [[1, 0], [0, 1]]
-    # one sorted-keys object with no trailing newline, as whole-file rewrites wrote it
-    legacy = canonical_json({"2:0": [good_a, good_b], "2:3": [good_a, good_b],
-                             "2:4": [good_a, good_a]})
-    path.write_text(legacy)
-    cache = PairCache(path)
-    assert len(cache) == 2 and cache.get(2, 3) is None
-    a, b = realize_latin_pair(4, 6, cache=PairCache())
-    cache.put(4, 6, (a, b))
-    assert path.read_text() == legacy + _entry_line(4, 6, a, b)
-    reloaded = PairCache(path)
-    assert len(reloaded) == 3
-    assert reloaded.get(2, 4) == cache.get(2, 4) and reloaded.get(4, 6) == (a, b)
-
-
-def test_pair_cache_rejects_a_torn_last_line(tmp_path):
-    path = tmp_path / "pairs.json"
-    cache = PairCache(path)
-    realize_latin_pair(4, 6, cache=cache)
-    data = path.read_bytes() + b'{"5:0":[[[0,1'
-    path.write_bytes(data)
-    with pytest.raises(ParseError) as exc:
-        PairCache(path)
-    assert exc.value.kind == "cache"
-    assert path.read_bytes() == data
+    pair_46 = realize_latin_pair(4, 6, cache=first)
+    pair_50 = realize_latin_pair(5, 0, cache=second)
+    assert path.read_text() == _entry_line(4, 6, *pair_46) + _entry_line(5, 0, *pair_50)
+    assert first.get(4, 6) == pair_46 and first.get(5, 0) is None
+    assert second.get(5, 0) == pair_50 and second.get(4, 6) is None
 
 
 def test_a_file_cache_gives_the_in_memory_pairs_at_order_13(tmp_path):
@@ -333,20 +284,8 @@ def test_a_file_cache_gives_the_in_memory_pairs_at_order_13(tmp_path):
     for s in values:
         pair = realize_latin_pair(13, s, cache=on_file)
         assert pair == realize_latin_pair(13, s, cache=in_memory)
-    reloaded = PairCache(path)
-    assert len(reloaded) == len(in_memory) == 186
-    assert all(reloaded.get(13, s) == in_memory.get(13, s) for s in values)
-
-
-@pytest.mark.parametrize("data", [b"[1, 2]", b'"pairs"', b"{not json", b"\xff\x00\xfe", b"",
-                                  pytest.param(b"[" * 100_000, id="nested-too-deep")])
-def test_pair_cache_rejects_a_file_that_is_not_a_json_object(tmp_path, data):
-    path = tmp_path / "pairs.json"
-    path.write_bytes(data)
-    with pytest.raises(ParseError) as exc:
-        PairCache(path)
-    assert exc.value.kind == "cache"
-    assert path.read_bytes() == data  # left for the user to inspect
+    assert len(on_file) == len(in_memory) == 186
+    assert len(path.read_text().splitlines()) == 186
 
 
 def test_seed_types_realize_from_fixtures():
