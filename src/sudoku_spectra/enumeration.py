@@ -35,8 +35,7 @@ import numpy as np
 
 from .core import BoxType, SudokuSquare, intersection_size
 
-MAX_LATIN_ORDER = 5
-MAX_SUDOKU_ORDER = 6
+MAX_SUDOKU_ORDER = 6  # the largest order h*w that brute_force_spectrum enumerates
 _CHUNK_VALUES = 1 << 20  # agreement values per chunk of the sweep: bounds its memory
 
 
@@ -114,6 +113,8 @@ def enumerate_squares(n: int, box_type: BoxType, first_row_fixed: bool = True) -
     With ``first_row_fixed`` only squares whose first row reads 0..n-1 are
     produced, one per symbol-relabelling class.
     """
+    if n != box_type.n:
+        raise ValueError(f"order {n} is not h*w for box type {box_type.h}x{box_type.w}")
     return _fill_squares(n, [box_type.cell_boxes()], first_row_fixed)[0]
 
 
@@ -121,6 +122,8 @@ def enumerate_squares(n: int, box_type: BoxType, first_row_fixed: bool = True) -
 def position_group(n: int, box_type: BoxType) -> np.ndarray:
     """Generators (k <= 6 to order 6) of the position permutations preserving the
     family, as a read-only (k, n*n) gather table: transformed_flat = flat[P[g]]."""
+    if n != box_type.n:
+        raise ValueError(f"order {n} is not h*w for box type {box_type.h}x{box_type.w}")
     grid, line = np.arange(n * n).reshape(n, n), np.arange(n)
     # the transpose has box type (w, h): the same family when the boxes are
     # square or are lines, as in a latin square; it turns row moves into column
@@ -236,14 +239,12 @@ class SpectrumReport:
 
 
 def brute_force_spectrum(h: int, w: int) -> SpectrumReport:
-    """Exact I(h, w) by enumeration, with re-verified witnesses, for latin
-    orders (h or w = 1) up to 5 and box orders up to 6."""
+    """Exact I(h, w) by enumeration, with re-verified witnesses, at every box
+    type of order h*w <= MAX_SUDOKU_ORDER = 6, latin (h or w = 1) included."""
     box = BoxType(h, w)
     n = box.n
-    if 1 in (h, w) and n > MAX_LATIN_ORDER:
-        raise ValueError(f"latin enumeration supports 1 <= n <= {MAX_LATIN_ORDER}, got {n}")
     if n > MAX_SUDOKU_ORDER:
-        raise ValueError(f"Sudoku enumeration supports h*w <= {MAX_SUDOKU_ORDER}, got {(h, w)}")
+        raise ValueError(f"enumeration supports orders h*w <= {MAX_SUDOKU_ORDER}, got {(h, w)}")
     canon = enumerate_squares(n, box, first_row_fixed=True)
     if len(canon) == 0:
         raise RuntimeError(f"no squares of order {n} found, enumeration is broken")
@@ -264,5 +265,5 @@ def brute_force_spectrum(h: int, w: int) -> SpectrumReport:
 
 
 def brute_force_latin_spectrum(n: int) -> SpectrumReport:
-    """Exact I(n) by enumeration, for n <= 5: the spectrum of box type (1, n)."""
+    """Exact I(n) by enumeration, for n <= MAX_SUDOKU_ORDER = 6: box type (1, n)."""
     return brute_force_spectrum(1, n)

@@ -152,15 +152,22 @@ def test_spectrum_of_latin_box_types(capsys, mode):
         assert list(map(int, out.split())) == list(range(20)) + [21, 25]
 
 
-def test_spectrum_brute_mode_bounds(capsys, monkeypatch):
-    def enumerate_nothing(*args, **kwargs):
-        raise AssertionError("bounds must be checked before enumerating")
+class _Enumerated(Exception):
+    """Raised by a stand-in enumerator: the order bound let the call through."""
 
-    monkeypatch.setattr(enumeration, "enumerate_squares", enumerate_nothing)
-    for h, w in [("3", "3"), ("1", "6"), ("6", "1")]:
-        rc, _, err = run(capsys, "spectrum", "--h", h, "--w", w, "--mode", "brute")
-        assert rc == 1
-        assert err.startswith("error: ") and "Traceback" not in err
+
+def test_spectrum_brute_mode_bounds(capsys, monkeypatch):
+    def enumerate_sentinel(*args, **kwargs):
+        raise _Enumerated
+
+    monkeypatch.setattr(enumeration, "enumerate_squares", enumerate_sentinel)
+    for h, w in [("1", "6"), ("6", "1")]:  # latin order 6 is within the one bound
+        with pytest.raises(_Enumerated):
+            main(["spectrum", "--h", h, "--w", w, "--mode", "brute"])
+    for h, w in [("1", "7"), ("7", "1"), ("2", "4"), ("3", "3")]:
+        rc, out, err = run(capsys, "spectrum", "--h", h, "--w", w, "--mode", "brute")
+        assert (rc, out) == (1, "")
+        assert err == f"error: enumeration supports orders h*w <= 6, got ({h}, {w})\n"
 
 
 def test_spectrum_seeds_mode(capsys):

@@ -51,6 +51,11 @@ def test_kronecker_worked_example():
     assert prod.rows() == tuple(map(tuple, PRODUCT_2x3))
 
 
+def test_sudoku_reorder_refuses_a_square_whose_order_is_not_n_times_m():
+    with pytest.raises(MalformedInputError, match=r"square order 5 is not 2\*3"):
+        sudoku_reorder(cyclic_square(5), 2, 3)
+
+
 def test_sudoku_reorder_worked_example():
     prod = kronecker(cyclic_square(2), cyclic_square(3))
     s = sudoku_reorder(prod, 2, 3)

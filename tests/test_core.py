@@ -47,14 +47,14 @@ def test_as_grid_rejects_bad_shapes_and_symbols():
 
 def test_validate_latin_reports_row_and_column_repeats():
     ok = validate_latin([[0, 1], [1, 0]])
-    assert ok.ok and ok.violation is None
+    assert ok.ok and ok.violation is None and bool(ok) is True
 
     bad_row = validate_latin([[0, 0], [1, 1]])
     assert not bad_row.ok
     assert bad_row.violation.kind == "row"
 
     bad_col = validate_latin([[0, 1], [0, 1]])
-    assert not bad_col.ok
+    assert not bad_col.ok and bool(bad_col) is False
     assert bad_col.violation.kind == "column"
 
 
@@ -125,6 +125,16 @@ def test_equality_and_hash_follow_cells():
     c = LatinSquare(np.array([1, 0, 2, 3])[b.cells])
     assert a != c
     assert len({a, b, c}) == 2
+    # equality needs a square on both sides: the same rows are not a square
+    for other in (b.rows(), [list(row) for row in b.rows()], None):
+        assert (b == other) is False and (b != other) is True
+
+
+def test_a_square_indexes_its_cells():
+    s = SudokuSquare([[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]], BoxType(2, 2))
+    assert s[1, 2] == 0 and s[3][0] == 3
+    assert s[1].tolist() == [2, 3, 0, 1]
+    assert s[:, 1].tolist() == [1, 3, 0, 2]
 
 
 def test_sudoku_equality_includes_box_type():

@@ -105,6 +105,14 @@ def test_order_36_sudoku_attempt_ends_within_its_budget(monkeypatch):
     assert validate_sudoku(square.cells, BoxType(6, 6)).ok
 
 
+def test_a_layout_with_no_completion_ends_at_once():
+    # groups {0, 3} and {1, 2} are the diagonals of an order-2 square, whose
+    # diagonal cells always agree: the search tree is exhausted, never cut,
+    # so an attempt with any budget ends with None
+    for budget in (100, 10**9):
+        assert markov._sample_grid(2, (0, 1, 1, 0), np.random.default_rng(0), budget) is None
+
+
 def test_every_2x2_square_is_reached():
     # the search gives every square positive probability: 5,000 draws at
     # box type (2, 2) meet all 288 of its Sudoku squares

@@ -164,6 +164,9 @@ def test_tiling_validation():
     with pytest.raises(ValueError, match="do not form a pentomino"):
         # cage 0 has five cells, but (1, 4) touches none of the other four
         Tiling.from_string("00001|11110|22222|33333|44444")
+    for last in (5, -1):  # a cell of cage 5 or -1 is in no cage 0..4
+        with pytest.raises(ValueError, match=r"cage ids must be 0\.\.4 covering the grid"):
+            Tiling(tuple((i,) * 5 for i in range(4)) + ((4, 4, 4, 4, last),))
     # the shapes are read from the grid, never passed in
     with pytest.raises(TypeError):
         Tiling(RIGID_TILING.grid, ("I",) * 5)
