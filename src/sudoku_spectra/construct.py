@@ -20,8 +20,8 @@ box type (h, w), and ``upsilon(n)`` the near-full-free set
 {0..n^2-6} + {n^2-4, n^2} they both eventually equal.
 
 ``decompose_target`` splits a Sudoku target t into h*h latin targets for
-the block product, or returns None for the three targets at w = 4 that
-cannot be split; the realizer takes those from seed fixtures.
+the block product, or returns None for n^2-6 and n^2-9 at box width 4,
+which cannot be split; the realizer takes those from seed fixtures.
 """
 from __future__ import annotations
 
@@ -140,32 +140,16 @@ def sudoku_spectrum(h: int, w: int) -> frozenset[int]:
     return upsilon(h * w)
 
 
-# Splits r = k + l with k, l achievable at order 4, for the residues r
-# in 0..16 that are not themselves achievable.
-ORDER4_SPLITS = {
-    5: (3, 2),
-    7: (4, 3),
-    10: (6, 4),
-    11: (8, 3),
-    13: (9, 4),
-    14: (8, 6),
-    15: (9, 6),
-}
-
-# The residues at w = 4 that cannot fill the one non-full slot of a
-# split: the targets t = n^2 - 11, n^2 - 9, n^2 - 6 have no split.
-UNSPLIT_RESIDUES = (5, 7, 10)
-
-
 def decompose_target(t: int, h: int, w: int) -> tuple[int, ...] | None:
     """Split a box-type (h, w) target t into h*h order-w latin targets, one
     per family slot (i, k), row-major; None if t has no split.
 
-    Writes t = q*w^2 + r and fills q full slots; the residue goes into one
-    slot when achievable at order w, else into two (w = 4 splits, w >= 5
-    uses w^2 - 6 plus a small remainder).  With one slot left for it, the
-    residues ``UNSPLIT_RESIDUES`` at w = 4 have no split.  Requires t in
-    the (h, w) spectrum and w >= 4.
+    Writes t = q*w^2 + r and fills q full slots.  The residue r goes into
+    one slot when achievable at order w, else into two, as evenly as the
+    order-w spectrum allows: k from ceil(r/2) upward until k and r - k are
+    both achievable.  With no empty slot left, the last full slot joins
+    the split, which then sums to w^2 + r.  Only n^2-6 and n^2-9 at box
+    width 4 have no split.  Requires t in the (h, w) spectrum and w >= 4.
     """
     if w < 4:
         raise ValueError(f"decomposition needs w >= 4, got {w}")
@@ -178,24 +162,11 @@ def decompose_target(t: int, h: int, w: int) -> tuple[int, ...] | None:
     q, r = divmod(t, w * w)
     if q == slots:  # t = n^2, every slot full
         return (w * w,) * slots
-    if q == slots - 1:
-        # t in upsilon(n) forces r achievable at order w here, except for
-        # the three residues at w = 4
-        if w == 4 and r in UNSPLIT_RESIDUES:
-            return None
-        if r not in spectrum:
-            raise AssertionError(
-                f"residue {r} unexpectedly unachievable at order {w} for target {t}"
-            )
-        return (w * w,) * q + (r,)
-    tail = slots - q
     if r in spectrum:
-        return (w * w,) * q + (r,) + (0,) * (tail - 1)
-    if w == 4:
-        k, l = ORDER4_SPLITS[r]
-    else:
-        s = r - (w * w - 6)
-        if not 1 <= s <= 5:
-            raise AssertionError(f"residue {r} out of expected range at order {w}")
-        k, l = w * w - 6, s
-    return (w * w,) * q + (k, l) + (0,) * (tail - 2)
+        return (w * w,) * q + (r,) + (0,) * (slots - q - 1)
+    if q == slots - 1:  # no empty slot left: the last full slot joins
+        q, r = q - 1, r + w * w
+    for k in range((r + 1) // 2, r + 1):
+        if k in spectrum and r - k in spectrum:
+            return (w * w,) * q + (k, r - k) + (0,) * (slots - q - 2)
+    return None

@@ -214,8 +214,12 @@ def _sweep(lefts: np.ndarray, canon: np.ndarray, n: int) -> dict[int, tuple[int,
         m = np.bincount(key.ravel(), minlength=key.size).reshape(key.shape).astype(np.float32)
         # float32 sums of at most n*n ones are exact
         vals = (m @ selector).astype(np.uint8).ravel()
-        # a scan per value still wanted beats a histogram once most are found
+        # a scan per value still wanted beats a histogram once most are found;
+        # wanted ascends, so no value past the chunk's largest can be in it
+        top = int(vals.max())
         for v in wanted:
+            if v > top:
+                break
             hit = vals == v
             first = int(np.argmax(hit))
             if hit[first]:

@@ -7,7 +7,7 @@ with itself, so its label is n^2).
 
 The seeds are the realizer's fallback, used only where no construction
 applies: every target at the small box types (2,2), (2,3), (3,3); the
-three targets n^2-6, n^2-9, n^2-11 at box width 4, where
+two targets n^2-6, n^2-9 at box width 4, where
 ``construct.decompose_target`` returns None; and, stored as box type
 (1, w) (each box one row), the latin pairs the holed-square split does
 not reach: every value at orders 2, 3, 5 and 7, and nine values at

@@ -11,8 +11,8 @@ h <= w and transposes it when h > w:
   add across family slots, so the pair meets the target exactly; the
   result is re-verified anyway.
 * Where no split applies, the pair comes from the seed fixtures: every
-  target at w < 4, that is at (2,2), (2,3) and (3,3), and the three
-  targets n^2-6, n^2-9, n^2-11 at box width 4.
+  target at w < 4, that is at (2,2), (2,3) and (3,3), and the two
+  targets n^2-6, n^2-9 at box width 4.
 
 ``realize_latin_pair(w, s)`` never searches, and its pair depends on
 (w, s) alone:
@@ -325,10 +325,10 @@ def _sudoku_pair(h: int, w: int, t: int, cache: PairCache, seed_db: SeedDatabase
     """(a, b, method): box type (h, w) Sudoku squares meeting in an
     achievable t cells, for 2 <= h <= w."""
     split = decompose_target(t, h, w) if w >= 4 else None
-    if split is None:  # every target at (2, 2), (2, 3), (3, 3); three at w = 4
+    if split is None:  # every target at (2, 2), (2, 3), (3, 3); two at w = 4
         a, b = seed_db.get(h, w).pair_for(t)
         return a, b, "seed"
-    # at most four distinct parts: w^2, the residue, 0, or w^2-6 and the rest
+    # at most four distinct parts: w^2, 0, and the residue or its two halves
     parts = list(dict.fromkeys(split))
     pairs = [_latin_pair(w, part, cache, seed_db) for part in parts]
     # row-major: part i*h + k fills slot (i, k) of both squares, rows reordered

@@ -75,7 +75,7 @@ def test_seed_fixtures_verify_exactly():
         for label, square in seed_set.entries:
             assert intersection_size(square, ref) == label, (h, w, label)
         checked += len(seed_set.entries) + 1
-    assert checked == 216
+    assert checked == 213
     print(f"PASS all {checked} stored intersection labels recomputed exactly")
 
 

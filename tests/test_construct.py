@@ -5,7 +5,6 @@ import pytest
 
 from sudoku_spectra.construct import (
     FORBIDDEN_OFFSETS,
-    ORDER4_SPLITS,
     decompose_target,
     forbidden_values,
     kronecker,
@@ -212,27 +211,41 @@ def test_forbidden_values_are_the_near_full_gaps():
 
 
 def test_order4_splits_cover_exactly_the_gaps():
-    spec4 = latin_spectrum(4)
-    missing = set(range(17)) - spec4
-    assert set(ORDER4_SPLITS) == missing
-    for r, (k, l) in ORDER4_SPLITS.items():
-        assert k + l == r
-        assert k in spec4 and l in spec4
+    # each residue missing from I(4) splits over two slots, as evenly as
+    # I(4) allows; n^2-11 = 48 + 5 takes the last full slot: 16 + 5 = 12 + 9
+    missing = set(range(17)) - latin_spectrum(4)
+    assert {r: decompose_target(r, 2, 4) for r in missing} == {
+        5: (3, 2, 0, 0), 7: (4, 3, 0, 0), 10: (6, 4, 0, 0), 11: (8, 3, 0, 0),
+        13: (9, 4, 0, 0), 14: (8, 6, 0, 0), 15: (9, 6, 0, 0),
+    }
+    assert decompose_target(53, 2, 4) == (16, 16, 12, 9)
+
+
+def _check_decompositions(h, w):
+    n = h * w
+    unsplit = {n * n - 9, n * n - 6} if w == 4 else set()
+    for t in sorted(sudoku_spectrum(h, w)):
+        parts = decompose_target(t, h, w)
+        if t in unsplit:
+            assert parts is None, (h, w, t)
+            continue
+        assert isinstance(parts, tuple), (h, w, t)
+        assert sum(parts) == t, (h, w, t)
+        assert len(parts) == h * h, (h, w, t)
+        assert all(p in latin_spectrum(w) for p in parts), (h, w, t)
 
 
 def test_decompose_every_achievable_target():
     for h, w in [(2, 4), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6)]:
-        n = h * w
-        unsplit = {n * n - 11, n * n - 9, n * n - 6} if w == 4 else set()
-        for t in sorted(sudoku_spectrum(h, w)):
-            parts = decompose_target(t, h, w)
-            if t in unsplit:
-                assert parts is None, (h, w, t)
-                continue
-            assert isinstance(parts, tuple), (h, w, t)
-            assert sum(parts) == t
-            assert len(parts) == h * h
-            assert all(p in latin_spectrum(w) for p in parts)
+        _check_decompositions(h, w)
+
+
+def test_decompose_every_target_up_to_order_36():
+    # every type with w >= 4 and h*w <= 36, tall types (h > w) included
+    types = [(h, w) for w in range(4, 19) for h in range(2, 36 // w + 1)]
+    assert len(types) == 41 and (9, 4) in types and (2, 18) in types
+    for h, w in types:
+        _check_decompositions(h, w)
 
 
 def test_decompose_rejects_bad_targets():

@@ -24,7 +24,7 @@ from sudoku_spectra.core import (
     validate_latin,
 )
 from sudoku_spectra.formats import ParseError, canonical_json, grid_json, grids_from_json
-from sudoku_spectra.seeds import DATABASE, SeedSet
+from sudoku_spectra.seeds import DATABASE, SEED_TYPES, SeedSet
 from sudoku_spectra.spectrum import (
     CertificateError,
     PairCache,
@@ -155,10 +155,13 @@ def test_seed_fixtures_are_used_only_where_no_construction_applies(monkeypatch):
         for s in latin_spectrum(w):
             realize_latin_pair(w, s)
     expected = {(h, w, t) for h, w in [(2, 2), (2, 3), (3, 3)] for t in sudoku_spectrum(h, w)}
-    expected |= {(h, 4, (4 * h) ** 2 - d) for h in (2, 3, 4) for d in (11, 9, 6)}
+    expected |= {(h, 4, (4 * h) ** 2 - d) for h in (2, 3, 4) for d in (9, 6)}
     expected |= {(1, p, s) for p in (2, 3, 5, 7) for s in latin_spectrum(p) - {p * p}}
     expected |= {(1, 11, s) for s in ORDER_11_LEFTOVERS}
     assert used == expected
+    # no fixture stores an entry that nothing looks up (the reference aside)
+    stored = {(h, w, label) for h, w in SEED_TYPES for label, _ in DATABASE.get(h, w).entries}
+    assert stored - used == set()
 
 
 def test_every_target_at_prime_orders_11_13_37_and_a_sample_at_71_realizes():
@@ -299,7 +302,7 @@ def test_seed_types_realize_from_fixtures():
 
 def test_a_warm_target_builds_one_latin_pair_per_distinct_part(monkeypatch):
     cache = PairCache()
-    targets = [0, 69, 600, 1200, 1292, 1296]  # 69 = 36 + 30 + 3: four distinct parts
+    targets = [0, 69, 600, 1200, 1292, 1296]  # 69 = 36 + 17 + 16: four distinct parts
     for t in targets:
         realize_sudoku_pair(6, 6, t, cache=cache)
     calls = []
@@ -335,7 +338,7 @@ def test_width_four_mixes_seeds_and_products():
         assert cert.verify() == t
         methods[t] = cert.method
     seed_targets = {t for t, m in methods.items() if m == "seed"}
-    assert seed_targets == {n2 - 11, n2 - 9, n2 - 6}
+    assert seed_targets == {n2 - 9, n2 - 6}
     assert all(m == "product" for t, m in methods.items() if t not in seed_targets)
 
 
@@ -619,7 +622,7 @@ def test_a_corrupted_product_cell_is_rejected(monkeypatch):
 # its transpose when that differs
 SWEEP_TYPES = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4),
                (2, 5), (3, 5), (5, 5), (4, 5), (4, 6), (6, 6)]
-SWEEP_SHA256 = "811d79501d3bf5e77306661d48526ba5df0510bce07ac12bc9fe5a7b454baa17"
+SWEEP_SHA256 = "e2b9b24a671ff3565afbfc470aa31442af3f00c83dc0f58b5ad2d83014217a01"
 
 
 def test_certificates_of_the_sweep_types_are_pinned():
