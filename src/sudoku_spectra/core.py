@@ -159,9 +159,9 @@ def _first_violation(grid: np.ndarray, box_type: BoxType) -> Violation:
 
 
 def _check_lines(grid: np.ndarray, box_type: BoxType) -> ValidationReport:
-    """The line check behind both validators and both constructors, on a grid
-    (or (k, n, n) stack) coerced by ``as_grid``, or a square's cells.  At box
-    type (1, n) a box is a row, so a latin square's repeat is a row's."""
+    """The line check behind the validators, the constructors and the brute-force
+    witness re-check, on a grid coerced by ``as_grid``, a square's cells, or a
+    stack of grids.  At box type (1, n) a box is a row, so a latin square's repeat is a row's."""
     if grid.shape[-1] != box_type.n:
         raise MalformedInputError(
             f"grid order {grid.shape[-1]} does not match box type {box_type.h}x{box_type.w}"

@@ -21,6 +21,7 @@ permutation, or transpose, and validity-preserving choices of those map
 the enumerated family onto itself, so the left square A only needs to
 range over orbit representatives of that action, found from a few
 generators.  The tests check the sweep against an all-pairs comparison.
+Every witness pair is line-checked and recounted before it is reported.
 
 A latin square is box type (1, n): its boxes are its rows, so one
 enumerator, one position group and one sweep serve both kinds of square.
@@ -33,7 +34,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .core import BoxType, SudokuSquare, intersection_size
+from .core import BoxType, _checked
 
 MAX_SUDOKU_ORDER = 6  # the largest order h*w that brute_force_spectrum enumerates
 _CHUNK_VALUES = 1 << 20  # agreement values per chunk of the sweep: bounds its memory
@@ -84,7 +85,7 @@ def _fill_squares(n: int, groups, first_row_fixed: bool) -> tuple[np.ndarray, np
         group = state[:, g] if g >= 0 else state.reshape(-1).take(
             columns[family, pos] + np.arange(0, state.size, width))
         # byte 8*i + s is set when symbol s is free in partial square i
-        hit = np.flatnonzero(free.take(state[:, 0] | state[:, c] | group).view(bool))
+        hit = free.take(state[:, 0] | state[:, c] | group).view(bool).nonzero()[0]
         parent, symbol = hit >> 3, (hit & 7).astype(np.uint8)
         bit = np.uint8(1) << symbol
         state = state.take(parent, axis=0)
@@ -221,7 +222,7 @@ def _sweep(lefts: np.ndarray, canon: np.ndarray, n: int) -> dict[int, tuple[int,
             if v > top:
                 break
             hit = vals == v
-            first = int(np.argmax(hit))
+            first = int(hit.argmax())
             if hit[first]:
                 i, p = divmod(first, len(perms))
                 found[v] = (int(left[i]), int(right[i]), p)
@@ -243,8 +244,10 @@ class SpectrumReport:
 
 
 def brute_force_spectrum(h: int, w: int) -> SpectrumReport:
-    """Exact I(h, w) by enumeration, with re-verified witnesses, at every box
-    type of order h*w <= MAX_SUDOKU_ORDER = 6, latin (h or w = 1) included."""
+    """Exact I(h, w) by enumeration at every box type of order h*w <=
+    MAX_SUDOKU_ORDER = 6, latin (h or w = 1) included.  Witnesses are re-checked
+    in one stacked pass: each pair line-checked at (h, w), raising the error a
+    square's check would, and its agreements recounted against its value."""
     box = BoxType(h, w)
     n = box.n
     if n > MAX_SUDOKU_ORDER:
@@ -254,16 +257,15 @@ def brute_force_spectrum(h: int, w: int) -> SpectrumReport:
         raise RuntimeError(f"no squares of order {n} found, enumeration is broken")
     perms, _ = _symbol_selector(n)
     reps = orbit_representatives(canon, n, position_group(n, box))
-
-    def to_rows(flat: np.ndarray) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(v) for v in row) for row in flat.reshape(n, n))
-
-    witnesses = {v: (to_rows(canon[reps[r]]), to_rows(perms[p][canon[k]]))
-                 for v, (r, k, p) in _sweep(canon[reps], canon, n).items()}
-    for v, (a_rows, b_rows) in witnesses.items():
-        actual = intersection_size(SudokuSquare(a_rows, box), SudokuSquare(b_rows, box))
+    found = _sweep(canon[reps], canon, n)
+    r, k, p = np.array(list(found.values())).T
+    pairs = np.stack([canon[np.take(reps, r)], perms[p[:, None], canon[k]]], axis=1, dtype=np.int64)
+    pairs = _checked(pairs.reshape(-1, 2, n, n), box)
+    for v, actual in zip(found, (pairs[:, 0] == pairs[:, 1]).sum(axis=(1, 2)).tolist()):
         if actual != v:
             raise AssertionError(f"witness pair for value {v} actually meets in {actual} cells")
+    witnesses = {v: (tuple(map(tuple, a)), tuple(map(tuple, b)))
+                 for v, (a, b) in zip(found, pairs.tolist())}
     return SpectrumReport(n, box, len(canon), len(canon) * len(perms), frozenset(witnesses),
                           witnesses, len(reps))
 

@@ -196,6 +196,7 @@ def enumerate_tilings() -> tuple[Tiling, ...]:
     first: at level i every partial tiling takes, as cage i, each placement
     whose least cell is its lowest uncovered cell, so each of the 856
     tilings is reached once.  All their 8 x 856 images are keyed at once.
+    The 107 representatives are built from plain rows; ``Tiling`` validates each.
     """
     table = _placement_table()
     taken = np.full(1, -1 << 63, dtype=np.int64)  # covered cells, used shapes above them
@@ -212,7 +213,7 @@ def enumerate_tilings() -> tuple[Tiling, ...]:
         leaf = parent.take(leaf)
     keys = np.unique(_least_keys(grids))[:, None]
     grids = keys // SIZE ** np.arange(SIZE * SIZE - 1, -1, -1, dtype=np.int64) % SIZE
-    return tuple(Tiling.from_grid(grid.reshape(SIZE, SIZE)) for grid in grids)
+    return tuple(Tiling(tuple(map(tuple, rows))) for rows in grids.reshape(-1, SIZE, SIZE).tolist())
 
 
 def _cage_solutions(tiling: Tiling, up_to_relabelling: bool = True) -> np.ndarray:

@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from sudoku_spectra import enumeration
+from sudoku_spectra import core, enumeration
 from sudoku_spectra.construct import latin_spectrum, upsilon
-from sudoku_spectra.core import BoxType, validate_latin, validate_sudoku
+from sudoku_spectra.core import BoxType, LatinViolationError, validate_latin, validate_sudoku
 from sudoku_spectra.enumeration import (
     MAX_SUDOKU_ORDER,
     _fill_squares,
@@ -205,6 +205,51 @@ def test_witnesses_round_trip():
     # brute_force_spectrum already recounted; spot check shape
     a, b = rep.witnesses[max(rep.values)]
     assert len(a) == len(b) == 4
+
+
+def test_a_witness_pair_that_meets_in_another_count_is_rejected(monkeypatch):
+    sweep = enumeration._sweep
+
+    def swapped(*args):
+        found = sweep(*args)
+        found[0], found[16] = found[16], found[0]
+        return found
+
+    monkeypatch.setattr(enumeration, "_sweep", swapped)
+    with pytest.raises(AssertionError, match="witness pair for value 0 actually meets in 16 cells"):
+        brute_force_spectrum(2, 2)
+
+
+def test_a_witness_that_is_not_a_square_is_rejected(monkeypatch):
+    box = BoxType(2, 2)
+    canon = enumerate_squares(4, box)
+    reps = orbit_representatives(canon, 4, position_group(4, box))
+    # the relabelling behind the value-0 witness's right square
+    _, _, row = enumeration._sweep(canon[reps], canon, 4)[0]
+    perms, selector = enumeration._symbol_selector(4)
+    merged = perms.copy()
+    merged[row, 1] = merged[row, 0]  # symbols 0 and 1 both go to one symbol
+    monkeypatch.setattr(enumeration, "_symbol_selector", lambda n: (merged, selector))
+    with pytest.raises(LatinViolationError, match="repeats in row"):
+        brute_force_spectrum(2, 2)
+
+
+def test_witnesses_are_line_checked_in_one_stacked_pass(monkeypatch):
+    def no_square(*args, **kwargs):
+        raise AssertionError("a witness was built as a square")
+
+    checks = []
+
+    def counted(grid, box_type):
+        checks.append((grid.shape, grid.dtype, box_type))
+        return core._checked(grid, box_type)
+
+    monkeypatch.setattr(core.SudokuSquare, "__init__", no_square)
+    monkeypatch.setattr(enumeration, "_checked", counted)
+    for h, w in [(2, 2), (1, 4)]:
+        checks.clear()
+        report = brute_force_spectrum(h, w)
+        assert checks == [((len(report.values), 2, h * w, h * w), np.int64, BoxType(h, w))]
 
 
 class _Enumerated(Exception):

@@ -14,7 +14,7 @@ import pytest
 
 from sudoku_spectra.construct import latin_spectrum
 from sudoku_spectra.core import BoxType, LatinSquare, intersection_size, validate_latin
-from sudoku_spectra import enumeration
+from sudoku_spectra import enumeration, pentadoku
 from sudoku_spectra.enumeration import enumerate_squares
 import sudoku_spectra
 from sudoku_spectra.pentadoku import (
@@ -190,6 +190,20 @@ def test_enumeration_finds_107_classes():
         assert t.key() == canonical_cage_key(t.grid)
         flipped = canonical_cage_key(np.asarray(t.grid)[::-1, :])
         assert flipped == canonical_cage_key(t.grid)
+
+
+def test_tilings_from_plain_rows_equal_tilings_from_grids_and_are_validated(monkeypatch):
+    tilings = enumerate_tilings()
+    rebuilt = tuple(Tiling.from_grid(t.grid) for t in tilings)
+    assert tilings == rebuilt
+    assert [t.grid for t in tilings] == [t.grid for t in rebuilt]
+    assert [t.shapes for t in tilings] == [t.shapes for t in rebuilt]
+    assert {type(v) for t in tilings for row in t.grid for v in row} == {int}
+    # every cage of every tiling is still named, so Tiling.__post_init__ ran on each
+    named = []
+    monkeypatch.setattr(pentadoku, "shape_name", lambda cells: named.append(cells) or shape_name(cells))
+    assert len(enumerate_tilings()) == 107
+    assert len(named) == 107 * 5
 
 
 CENSUS_SHA256 = "bca8549dd30b1b0bee21cacc2e1f10d01b10a94f22b202e69204e4c036cacbc4"
